@@ -16,8 +16,9 @@ namespace fairclique {
 ///
 /// Invariants (established by GraphBuilder and preserved by all views):
 ///  - no self-loops, no parallel edges;
-///  - every adjacency list is sorted by neighbor id (enables O(deg_min)
-///    common-neighbor intersection, the workhorse of the support reductions);
+///  - every adjacency list is sorted by neighbor id (enables merge
+///    intersection of two rows and O(log deg) FindEdge, which the support
+///    reductions' peel uses to find a triangle's other two sides);
 ///  - `edges()` lists each undirected edge exactly once with u < v, sorted;
 ///  - `edge_ids(u)[i]` is the EdgeId of the edge {u, neighbors(u)[i]}, so
 ///    edge-indexed algorithms (truss-style peeling) can walk CSR rows and

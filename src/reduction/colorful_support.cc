@@ -1,7 +1,8 @@
 #include "reduction/colorful_support.h"
 
 #include <algorithm>
-#include <deque>
+#include <array>
+#include <span>
 
 #include "common/logging.h"
 #include "graph/triangles.h"
@@ -10,57 +11,105 @@ namespace fairclique {
 
 namespace {
 
-// Per-edge multiset of common-neighbor (attribute, color) pairs — the data
-// structure M_(u,v) of Algorithm 1 — stored as a flat sorted key/count table
-// per edge, built in one triangle-enumeration pass.
-struct EdgeColorTable {
-  std::vector<uint32_t> keys;     // (color << 1) | attr, sorted per edge
-  std::vector<uint32_t> counts;   // parallel to keys
-  std::vector<uint64_t> offsets;  // size E+1
+// Per-edge triangle slots, filled from a degree-oriented triangle listing.
+// Slot i of edge (u,v) holds one common neighbor w of u and v. An edge's
+// slots are sorted by w's (color, attribute) key, and the first slot of each
+// run of equal keys holds the run's live count (the others hold 0), so the
+// runs are the multiset M_(u,v) of Algorithm 1. The same slots are the
+// triangle list PeelEdges tears down: a triangle's two other sides are found
+// with FindEdge instead of by re-intersecting adjacency rows.
+class TriangleSlotTable {
+ public:
+  struct Slot {
+    VertexId w;
+    uint32_t count;  // live run size at a run head, 0 elsewhere
+  };
 
+  TriangleSlotTable(const AttributedGraph& g, const Coloring& coloring) {
+    const EdgeId m = g.num_edges();
+    vertex_key_.resize(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      vertex_key_[v] = MakeKey(coloring.color[v], g.attribute(v));
+    }
+    // Pass 1 sizes every edge's slot range exactly; pass 2 fills it, using
+    // offsets_[e] as e's write cursor (shifted back to a start afterwards).
+    const DegreeOrientation orient = OrientByDegree(g);
+    offsets_.assign(m + 1, 0);
+    ForEachTriangle(orient, [this](VertexId, VertexId, VertexId, EdgeId euv,
+                                   EdgeId euw, EdgeId evw) {
+      ++offsets_[euv + 1];
+      ++offsets_[euw + 1];
+      ++offsets_[evw + 1];
+    });
+    for (EdgeId e = 0; e < m; ++e) offsets_[e + 1] += offsets_[e];
+    slots_.resize(offsets_[m]);
+    // While filling, `count` carries the slot's key for the sort below.
+    ForEachTriangle(orient, [this](VertexId u, VertexId v, VertexId w,
+                                   EdgeId euv, EdgeId euw, EdgeId evw) {
+      slots_[offsets_[euv]++] = {w, vertex_key_[w]};
+      slots_[offsets_[euw]++] = {v, vertex_key_[v]};
+      slots_[offsets_[evw]++] = {u, vertex_key_[u]};
+    });
+    for (EdgeId e = m; e > 0; --e) offsets_[e] = offsets_[e - 1];
+    offsets_[0] = 0;
+    for (EdgeId e = 0; e < m; ++e) {
+      std::span<Slot> s = slots(e);
+      std::sort(s.begin(), s.end(), [](const Slot& a, const Slot& b) {
+        return a.count < b.count;
+      });
+      for (size_t i = 0; i < s.size();) {
+        const uint32_t key = s[i].count;
+        size_t j = i;
+        for (; j < s.size() && s[j].count == key; ++j) s[j].count = 0;
+        s[i].count = static_cast<uint32_t>(j - i);
+        i = j;
+      }
+    }
+  }
+
+  // (color << 1) | attr: a color's a-run sorts directly before its b-run.
   static uint32_t MakeKey(ColorId color, Attribute attr) {
     return (static_cast<uint32_t>(color) << 1) | static_cast<uint32_t>(attr);
   }
 
-  size_t Find(EdgeId e, uint32_t key) const {
-    const uint32_t* begin = keys.data() + offsets[e];
-    const uint32_t* end = keys.data() + offsets[e + 1];
-    const uint32_t* it = std::lower_bound(begin, end, key);
-    FC_CHECK(it != end && *it == key) << "edge color key missing";
-    return static_cast<size_t>(it - keys.data());
+  uint32_t key(VertexId w) const { return vertex_key_[w]; }
+
+  std::span<Slot> slots(EdgeId e) {
+    return {slots_.data() + offsets_[e], slots_.data() + offsets_[e + 1]};
   }
 
-  void Build(const AttributedGraph& g, const Coloring& coloring) {
-    const EdgeId m = g.num_edges();
-    offsets.assign(m + 1, 0);
-    keys.clear();
-    counts.clear();
-    std::vector<uint32_t> scratch;
-    for (EdgeId e = 0; e < m; ++e) {
-      const Edge& edge = g.edges()[e];
-      scratch.clear();
-      ForEachCommonNeighbor(g, edge.u, edge.v,
-                            [&](VertexId w, EdgeId, EdgeId) {
-                              scratch.push_back(MakeKey(coloring.color[w],
-                                                        g.attribute(w)));
-                            });
-      std::sort(scratch.begin(), scratch.end());
-      for (size_t i = 0; i < scratch.size();) {
-        size_t j = i;
-        while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-        keys.push_back(scratch[i]);
-        counts.push_back(static_cast<uint32_t>(j - i));
-        i = j;
-      }
-      offsets[e + 1] = keys.size();
-    }
+  // Head slot of e's run with key `key`, or nullptr when e has no common
+  // neighbor with that key.
+  Slot* FindRun(EdgeId e, uint32_t key) {
+    std::span<Slot> s = slots(e);
+    auto it = std::partition_point(s.begin(), s.end(), [&](const Slot& x) {
+      return vertex_key_[x.w] < key;
+    });
+    return it != s.end() && vertex_key_[it->w] == key ? &*it : nullptr;
   }
+
+  // Per-edge counts of live (color, attribute) runs by attribute index: the
+  // colorful supports of Definition 6, in 8 B per edge.
+  std::vector<std::array<int32_t, 2>> Supports() {
+    std::vector<std::array<int32_t, 2>> sup(offsets_.size() - 1, {0, 0});
+    for (EdgeId e = 0; e < sup.size(); ++e) {
+      for (const Slot& s : slots(e)) {
+        if (s.count > 0) sup[e][key(s.w) & 1]++;
+      }
+    }
+    return sup;
+  }
+
+ private:
+  std::vector<uint32_t> vertex_key_;  // size V
+  std::vector<uint64_t> offsets_;     // size E+1
+  std::vector<Slot> slots_;           // one per (edge, triangle) pair
 };
 
 // Shared edge-peeling driver. `Violates(e)` checks the per-edge survival
-// condition from the current support state; `OnNeighborLoss(e, w_attr, w)`
-// updates edge e's state after losing common neighbor w and returns true
-// when e must be re-checked.
+// condition from the current support state; `OnNeighborLoss(e, w)` updates
+// edge e's state after losing common neighbor w and returns true when e
+// must be re-checked.
 //
 // Triangle accounting: a triangle is torn down exactly once — when the first
 // of its edges to be *popped* from the queue is processed. At that moment the
@@ -72,46 +121,47 @@ struct EdgeColorTable {
 // whose other two edges are alive — the maximal subgraph of Lemma 3/4.
 template <typename ViolatesFn, typename LossFn>
 EdgeReductionResult PeelEdges(const AttributedGraph& g,
-                              ViolatesFn&& violates, LossFn&& on_loss) {
+                              TriangleSlotTable& table, ViolatesFn&& violates,
+                              LossFn&& on_loss) {
   const EdgeId m = g.num_edges();
   EdgeReductionResult result;
   result.edge_alive.assign(m, 1);
   result.vertex_alive.assign(g.num_vertices(), 0);
   // not_processed[e] == 1 until e has been popped and its triangles torn
-  // down. Doubles as the enumeration filter: a triangle with a processed
-  // side edge has already been handled.
+  // down: a triangle with a processed side has already been handled.
   std::vector<uint8_t> not_processed(m, 1);
 
-  std::deque<EdgeId> queue;
+  // Every edge is queued at most once, so the queue never reallocates.
+  std::vector<EdgeId> queue;
+  queue.reserve(m);
   for (EdgeId e = 0; e < m; ++e) {
     if (violates(e)) {
       result.edge_alive[e] = 0;  // Removed immediately (Alg. 1 line 10).
       queue.push_back(e);
     }
   }
-  while (!queue.empty()) {
-    EdgeId e = queue.front();
-    queue.pop_front();
-    const Edge& edge = g.edges()[e];
-    const VertexId u = edge.u;
-    const VertexId v = edge.v;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const EdgeId e = queue[head];
+    const VertexId u = g.edges()[e].u;
+    const VertexId v = g.edges()[e].v;
     not_processed[e] = 0;
     // Edge (u,w) loses common neighbor v; edge (v,w) loses u.
-    ForEachAliveCommonNeighbor(
-        g, u, v, {}, not_processed,
-        [&](VertexId w, EdgeId euw, EdgeId evw) {
-          (void)w;
-          if (result.edge_alive[euw] && on_loss(euw, g.attribute(v), v) &&
-              violates(euw)) {
-            result.edge_alive[euw] = 0;
-            queue.push_back(euw);
-          }
-          if (result.edge_alive[evw] && on_loss(evw, g.attribute(u), u) &&
-              violates(evw)) {
-            result.edge_alive[evw] = 0;
-            queue.push_back(evw);
-          }
-        });
+    // fclint: hot-path-begin(reduction_peel)
+    for (const TriangleSlotTable::Slot& slot : table.slots(e)) {
+      const EdgeId euw = g.FindEdge(u, slot.w);
+      if (!not_processed[euw]) continue;  // triangle already torn down
+      const EdgeId evw = g.FindEdge(v, slot.w);
+      if (!not_processed[evw]) continue;
+      if (result.edge_alive[euw] && on_loss(euw, v) && violates(euw)) {
+        result.edge_alive[euw] = 0;
+        queue.push_back(euw);
+      }
+      if (result.edge_alive[evw] && on_loss(evw, u) && violates(evw)) {
+        result.edge_alive[evw] = 0;
+        queue.push_back(evw);
+      }
+    }
+    // fclint: hot-path-end
   }
   for (EdgeId e = 0; e < m; ++e) {
     if (result.edge_alive[e]) {
@@ -130,47 +180,40 @@ EdgeReductionResult PeelEdges(const AttributedGraph& g,
 
 std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
                                                 const Coloring& coloring) {
-  EdgeColorTable table;
-  table.Build(g, coloring);
-  std::vector<AttrCounts> sup(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    for (uint64_t i = table.offsets[e]; i < table.offsets[e + 1]; ++i) {
-      sup[e][static_cast<Attribute>(table.keys[i] & 1)]++;
-    }
+  const std::vector<std::array<int32_t, 2>> runs =
+      TriangleSlotTable(g, coloring).Supports();
+  std::vector<AttrCounts> sup(runs.size());
+  for (EdgeId e = 0; e < sup.size(); ++e) {
+    sup[e].counts[0] = runs[e][0];
+    sup[e].counts[1] = runs[e][1];
   }
   return sup;
 }
 
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k) {
-  EdgeColorTable table;
-  table.Build(g, coloring);
-  std::vector<AttrCounts> sup(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    for (uint64_t i = table.offsets[e]; i < table.offsets[e + 1]; ++i) {
-      sup[e][static_cast<Attribute>(table.keys[i] & 1)]++;
-    }
-  }
+  TriangleSlotTable table(g, coloring);
+  std::vector<std::array<int32_t, 2>> sup = table.Supports();
 
   auto violates = [&](EdgeId e) {
     const Edge& edge = g.edges()[e];
     int64_t ta, tb;
     SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
-    return sup[e][Attribute::kA] < ta || sup[e][Attribute::kB] < tb;
+    return sup[e][0] < ta || sup[e][1] < tb;
   };
-  // Losing common neighbor w (attribute attr_w, color color(w)) decrements
-  // M_e(attr_w, color_w); the support drops only when that count hits zero.
-  auto on_loss = [&](EdgeId e, Attribute attr_w, VertexId w) {
-    uint32_t key = EdgeColorTable::MakeKey(coloring.color[w], attr_w);
-    size_t idx = table.Find(e, key);
-    FC_CHECK(table.counts[idx] > 0) << "double decrement on edge color count";
-    if (--table.counts[idx] == 0) {
-      sup[e][attr_w]--;
+  // Losing common neighbor w decrements its (color, attribute) run in
+  // M_e; the support drops only when that run's count hits zero.
+  auto on_loss = [&](EdgeId e, VertexId w) {
+    TriangleSlotTable::Slot* run = table.FindRun(e, table.key(w));
+    FC_CHECK(run != nullptr && run->count > 0)
+        << "double decrement on edge color count";
+    if (--run->count == 0) {
+      sup[e][AttrIndex(g.attribute(w))]--;
       return true;
     }
     return false;
   };
-  return PeelEdges(g, violates, on_loss);
+  return PeelEdges(g, table, violates, on_loss);
 }
 
 AttrCounts GreedyEnhancedSupport(int64_t ca, int64_t cb, int64_t cm,
@@ -188,26 +231,27 @@ AttrCounts GreedyEnhancedSupport(int64_t ca, int64_t cb, int64_t cm,
 
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
                                            const Coloring& coloring, int k) {
-  EdgeColorTable table;
-  table.Build(g, coloring);
+  TriangleSlotTable table(g, coloring);
   // Per-edge color-class sizes (Group a / Group b / Mixed of Fig. 2(c)).
   struct Classes {
     int32_t ca = 0, cb = 0, cm = 0;
   };
   std::vector<Classes> cls(g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    uint64_t i = table.offsets[e];
-    const uint64_t end = table.offsets[e + 1];
-    while (i < end) {
-      if (i + 1 < end && (table.keys[i] >> 1) == (table.keys[i + 1] >> 1)) {
+    // Walk the run heads; a color with both attributes has its a-run
+    // immediately followed by its b-run.
+    std::span<const TriangleSlotTable::Slot> s = table.slots(e);
+    for (size_t i = 0; i < s.size(); i += s[i].count) {
+      const uint32_t key = table.key(s[i].w);
+      const size_t next = i + s[i].count;
+      if ((key & 1) == 0 && next < s.size() &&
+          table.key(s[next].w) == (key | 1)) {
         cls[e].cm++;
-        i += 2;
-      } else if ((table.keys[i] & 1) == 0) {
+        i = next;
+      } else if ((key & 1) == 0) {
         cls[e].ca++;
-        i += 1;
       } else {
         cls[e].cb++;
-        i += 1;
       }
     }
   }
@@ -222,20 +266,16 @@ EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
     int64_t need_b = std::max<int64_t>(0, tb - cls[e].cb);
     return need_a + need_b > cls[e].cm;
   };
-  auto on_loss = [&](EdgeId e, Attribute attr_w, VertexId w) {
-    const ColorId color = coloring.color[w];
-    uint32_t key = EdgeColorTable::MakeKey(color, attr_w);
-    size_t idx = table.Find(e, key);
-    FC_CHECK(table.counts[idx] > 0) << "double decrement on edge color count";
-    if (--table.counts[idx] != 0) return false;
+  auto on_loss = [&](EdgeId e, VertexId w) {
+    const Attribute attr_w = g.attribute(w);
+    const uint32_t key = table.key(w);
+    TriangleSlotTable::Slot* run = table.FindRun(e, key);
+    FC_CHECK(run != nullptr && run->count > 0)
+        << "double decrement on edge color count";
+    if (--run->count != 0) return false;
     // Color lost its attr_w side on this edge; reclassify.
-    uint32_t other_key = EdgeColorTable::MakeKey(color, Other(attr_w));
-    const uint32_t* begin = table.keys.data() + table.offsets[e];
-    const uint32_t* end = table.keys.data() + table.offsets[e + 1];
-    const uint32_t* it = std::lower_bound(begin, end, other_key);
-    bool other_alive = it != end && *it == other_key &&
-                       table.counts[it - table.keys.data()] > 0;
-    if (other_alive) {
+    const TriangleSlotTable::Slot* other = table.FindRun(e, key ^ 1);
+    if (other != nullptr && other->count > 0) {
       cls[e].cm--;
       if (attr_w == Attribute::kA) {
         cls[e].cb++;
@@ -251,7 +291,7 @@ EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
     }
     return true;
   };
-  return PeelEdges(g, violates, on_loss);
+  return PeelEdges(g, table, violates, on_loss);
 }
 
 }  // namespace fairclique

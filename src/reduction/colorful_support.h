@@ -21,7 +21,8 @@ struct EdgeReductionResult {
 
 /// Colorful support of every edge (Definition 6): sup_ai(u,v) = number of
 /// distinct colors among common neighbors of u and v having attribute ai.
-/// Exposed for tests and diagnostics; O(alpha * E) triangle enumeration.
+/// Exposed for tests and diagnostics; built from the same triangle-slot
+/// table as the reductions below.
 std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
                                                 const Coloring& coloring);
 
@@ -31,8 +32,17 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 ///   A(u)=A(v)=b : sup_a >= k   and sup_b >= k-2
 ///   mixed       : sup_a >= k-1 and sup_b >= k-1
 /// The surviving subgraph contains every relative fair clique with size
-/// parameter k. Time O(alpha * E + V), space O(sum over edges of distinct
-/// common-neighbor (attr, color) pairs).
+/// parameter k.
+///
+/// Both support reductions build one per-edge triangle-slot table from a
+/// degree-oriented triangle listing (graph/triangles.h, O(alpha * E)): each
+/// triangle puts its third vertex into a slot of each of its three edges,
+/// and an edge's slots, sorted by (color, attribute), are M_(u,v) of
+/// Algorithm 1. The peel tears each triangle down once from those slots,
+/// finding its other two sides with FindEdge. Time O(alpha * E) for the
+/// listing plus O(log) per slot to sort it and to tear it down; space 8 B
+/// per (edge, triangle) slot plus 8 B per edge, next to O(E) flags and
+/// per-edge support counts.
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k);
 

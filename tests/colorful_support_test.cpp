@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <set>
+#include <string>
 
 #include "core/enumeration.h"
+#include "datasets/datasets.h"
 #include "graph/coloring.h"
+#include "graph/triangles.h"
+#include "reduction/colorful_core.h"
 #include "reduction/colorful_support.h"
 #include "reduction/reduce.h"
 #include "test_util.h"
@@ -13,6 +19,175 @@ namespace {
 
 using testing_util::MakeGraph;
 using testing_util::RandomAttributedGraph;
+
+// Reference implementation for the differential tests: the merge-
+// intersection ColorfulSup / EnColorfulSup the library used before its
+// triangle-slot table. Every edge's (color, attribute) table is built by
+// intersecting both endpoint rows, and every popped edge re-intersects them.
+namespace reference {
+
+struct EdgeColorTable {
+  std::vector<uint32_t> keys;     // (color << 1) | attr, sorted per edge
+  std::vector<uint32_t> counts;   // parallel to keys
+  std::vector<uint64_t> offsets;  // size E+1
+
+  static uint32_t MakeKey(ColorId color, Attribute attr) {
+    return (static_cast<uint32_t>(color) << 1) | static_cast<uint32_t>(attr);
+  }
+
+  size_t Find(EdgeId e, uint32_t key) const {
+    const uint32_t* begin = keys.data() + offsets[e];
+    const uint32_t* end = keys.data() + offsets[e + 1];
+    const uint32_t* it = std::lower_bound(begin, end, key);
+    EXPECT_TRUE(it != end && *it == key) << "edge color key missing";
+    return static_cast<size_t>(it - keys.data());
+  }
+
+  void Build(const AttributedGraph& g, const Coloring& coloring) {
+    offsets.assign(g.num_edges() + 1, 0);
+    std::vector<uint32_t> scratch;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const Edge& edge = g.edges()[e];
+      scratch.clear();
+      ForEachCommonNeighbor(g, edge.u, edge.v,
+                            [&](VertexId w, EdgeId, EdgeId) {
+                              scratch.push_back(MakeKey(coloring.color[w],
+                                                        g.attribute(w)));
+                            });
+      std::sort(scratch.begin(), scratch.end());
+      for (size_t i = 0; i < scratch.size();) {
+        size_t j = i;
+        while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
+        keys.push_back(scratch[i]);
+        counts.push_back(static_cast<uint32_t>(j - i));
+        i = j;
+      }
+      offsets[e + 1] = keys.size();
+    }
+  }
+
+  std::vector<AttrCounts> Supports() const {
+    std::vector<AttrCounts> sup(offsets.size() - 1);
+    for (EdgeId e = 0; e < sup.size(); ++e) {
+      for (uint64_t i = offsets[e]; i < offsets[e + 1]; ++i) {
+        sup[e][static_cast<Attribute>(keys[i] & 1)]++;
+      }
+    }
+    return sup;
+  }
+};
+
+template <typename ViolatesFn, typename LossFn>
+std::vector<uint8_t> PeelEdges(const AttributedGraph& g,
+                               ViolatesFn&& violates, LossFn&& on_loss) {
+  const EdgeId m = g.num_edges();
+  std::vector<uint8_t> alive(m, 1);
+  std::vector<uint8_t> not_processed(m, 1);
+  std::deque<EdgeId> queue;
+  for (EdgeId e = 0; e < m; ++e) {
+    if (violates(e)) {
+      alive[e] = 0;
+      queue.push_back(e);
+    }
+  }
+  while (!queue.empty()) {
+    const EdgeId e = queue.front();
+    queue.pop_front();
+    const VertexId u = g.edges()[e].u;
+    const VertexId v = g.edges()[e].v;
+    not_processed[e] = 0;
+    ForEachCommonNeighbor(g, u, v, [&](VertexId, EdgeId euw, EdgeId evw) {
+      if (!not_processed[euw] || !not_processed[evw]) return;
+      if (alive[euw] && on_loss(euw, g.attribute(v), v) && violates(euw)) {
+        alive[euw] = 0;
+        queue.push_back(euw);
+      }
+      if (alive[evw] && on_loss(evw, g.attribute(u), u) && violates(evw)) {
+        alive[evw] = 0;
+        queue.push_back(evw);
+      }
+    });
+  }
+  return alive;
+}
+
+std::vector<uint8_t> ColorfulSup(const AttributedGraph& g,
+                                 const Coloring& coloring, int k) {
+  EdgeColorTable table;
+  table.Build(g, coloring);
+  std::vector<AttrCounts> sup = table.Supports();
+  auto violates = [&](EdgeId e) {
+    const Edge& edge = g.edges()[e];
+    int64_t ta, tb;
+    SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
+    return sup[e][Attribute::kA] < ta || sup[e][Attribute::kB] < tb;
+  };
+  auto on_loss = [&](EdgeId e, Attribute attr_w, VertexId w) {
+    size_t idx = table.Find(e, EdgeColorTable::MakeKey(coloring.color[w],
+                                                       attr_w));
+    if (--table.counts[idx] == 0) {
+      sup[e][attr_w]--;
+      return true;
+    }
+    return false;
+  };
+  return PeelEdges(g, violates, on_loss);
+}
+
+std::vector<uint8_t> EnColorfulSup(const AttributedGraph& g,
+                                   const Coloring& coloring, int k) {
+  EdgeColorTable table;
+  table.Build(g, coloring);
+  struct Classes {
+    int64_t ca = 0, cb = 0, cm = 0;
+  };
+  std::vector<Classes> cls(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    uint64_t i = table.offsets[e];
+    const uint64_t end = table.offsets[e + 1];
+    while (i < end) {
+      if (i + 1 < end && (table.keys[i] >> 1) == (table.keys[i + 1] >> 1)) {
+        cls[e].cm++;
+        i += 2;
+      } else if ((table.keys[i] & 1) == 0) {
+        cls[e].ca++;
+        i += 1;
+      } else {
+        cls[e].cb++;
+        i += 1;
+      }
+    }
+  }
+  auto violates = [&](EdgeId e) {
+    const Edge& edge = g.edges()[e];
+    int64_t ta, tb;
+    SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
+    return std::max<int64_t>(0, ta - cls[e].ca) +
+               std::max<int64_t>(0, tb - cls[e].cb) >
+           cls[e].cm;
+  };
+  auto on_loss = [&](EdgeId e, Attribute attr_w, VertexId w) {
+    const ColorId color = coloring.color[w];
+    size_t idx = table.Find(e, EdgeColorTable::MakeKey(color, attr_w));
+    if (--table.counts[idx] != 0) return false;
+    const uint32_t other_key = EdgeColorTable::MakeKey(color, Other(attr_w));
+    const uint32_t* begin = table.keys.data() + table.offsets[e];
+    const uint32_t* end = table.keys.data() + table.offsets[e + 1];
+    const uint32_t* it = std::lower_bound(begin, end, other_key);
+    const bool other_alive = it != end && *it == other_key &&
+                             table.counts[it - table.keys.data()] > 0;
+    if (other_alive) {
+      cls[e].cm--;
+      (attr_w == Attribute::kA ? cls[e].cb : cls[e].ca)++;
+    } else {
+      (attr_w == Attribute::kA ? cls[e].ca : cls[e].cb)--;
+    }
+    return true;
+  };
+  return PeelEdges(g, violates, on_loss);
+}
+
+}  // namespace reference
 
 // Brute-force colorful supports from the definition.
 std::vector<AttrCounts> BruteSupports(const AttributedGraph& g,
@@ -264,6 +439,46 @@ TEST(ReductionPipelineTest, EmptyAndTinyGraphs) {
   // A (2,*) fair clique needs 4 vertices; everything dies.
   EXPECT_EQ(r1.reduced.num_edges(), 0u);
 }
+
+// Differential gate: on every stand-in dataset and every k of its sweep,
+// the slot-table reductions leave bit-identical survivors to the merge-
+// intersection reference for the same coloring — both on the raw graph and
+// on the EnColorfulCore output the pipeline actually feeds them.
+class ColorfulSupDifferentialTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ColorfulSupDifferentialTest, MatchesMergeIntersectionReference) {
+  const DatasetSpec spec = DatasetByName(GetParam());
+  const AttributedGraph raw = LoadDataset(spec.name);
+  const Coloring raw_coloring = GreedyColoring(raw);
+  for (int k : spec.k_range) {
+    VertexReductionResult core = EnColorfulCore(raw, raw_coloring, k - 1);
+    const AttributedGraph cored = raw.FilteredSubgraph(core.alive, {});
+    for (const AttributedGraph* g : {&raw, &cored}) {
+      const char* which = g == &raw ? "raw" : "cored";
+      const Coloring c = GreedyColoring(*g);
+      EXPECT_EQ(ColorfulSupReduction(*g, c, k).edge_alive,
+                reference::ColorfulSup(*g, c, k))
+          << spec.name << " " << which << " k=" << k;
+      EXPECT_EQ(EnColorfulSupReduction(*g, c, k).edge_alive,
+                reference::EnColorfulSup(*g, c, k))
+          << spec.name << " " << which << " k=" << k;
+    }
+  }
+  reference::EdgeColorTable table;
+  table.Build(raw, raw_coloring);
+  const std::vector<AttrCounts> fast =
+      ComputeColorfulSupports(raw, raw_coloring);
+  const std::vector<AttrCounts> slow = table.Supports();
+  ASSERT_EQ(fast.size(), slow.size());
+  EXPECT_TRUE(std::equal(fast.begin(), fast.end(), slow.begin()))
+      << spec.name << ": colorful supports differ";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDatasets, ColorfulSupDifferentialTest,
+                         ::testing::Values("themarker-s", "google-s", "dblp-s",
+                                           "flixster-s", "pokec-s",
+                                           "aminer-s"));
 
 }  // namespace
 }  // namespace fairclique

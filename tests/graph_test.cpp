@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
+#include <string>
 
 #include "graph/graph.h"
 #include "graph/triangles.h"
@@ -209,6 +211,94 @@ TEST(TrianglesTest, CountMatchesBruteForce) {
     }
   }
   EXPECT_EQ(CountTriangles(g), brute);
+}
+
+// Checks ForEachTriangle against brute force on `g`: every triangle is
+// reported exactly once, lowest (degree, id) rank first, with each edge id
+// naming the side it claims to.
+void ExpectTrianglesMatchBruteForce(const AttributedGraph& g) {
+  std::set<std::array<VertexId, 3>> brute;
+  for (VertexId a = 0; a < g.num_vertices(); ++a) {
+    for (VertexId b = a + 1; b < g.num_vertices(); ++b) {
+      if (!g.HasEdge(a, b)) continue;
+      for (VertexId c = b + 1; c < g.num_vertices(); ++c) {
+        if (g.HasEdge(a, c) && g.HasEdge(b, c)) brute.insert({a, b, c});
+      }
+    }
+  }
+  auto rank_below = [&g](VertexId x, VertexId y) {
+    return g.degree(x) != g.degree(y) ? g.degree(x) < g.degree(y) : x < y;
+  };
+  auto is_edge = [&g](EdgeId e, VertexId x, VertexId y) {
+    return e < g.num_edges() &&
+           g.edges()[e] == Edge{std::min(x, y), std::max(x, y)};
+  };
+  std::set<std::array<VertexId, 3>> listed;
+  ForEachTriangle(g, [&](VertexId u, VertexId v, VertexId w, EdgeId euv,
+                         EdgeId euw, EdgeId evw) {
+    EXPECT_TRUE(rank_below(u, v) && rank_below(v, w))
+        << u << "," << v << "," << w;
+    EXPECT_TRUE(is_edge(euv, u, v)) << "euv of " << u << "," << v;
+    EXPECT_TRUE(is_edge(euw, u, w)) << "euw of " << u << "," << w;
+    EXPECT_TRUE(is_edge(evw, v, w)) << "evw of " << v << "," << w;
+    std::array<VertexId, 3> t{u, v, w};
+    std::sort(t.begin(), t.end());
+    EXPECT_TRUE(listed.insert(t).second)
+        << "triangle " << t[0] << "," << t[1] << "," << t[2] << " twice";
+  });
+  EXPECT_EQ(listed, brute);
+  EXPECT_EQ(CountTriangles(g), brute.size());
+}
+
+TEST(TrianglesTest, ForEachTriangleOnRandomGraphs) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    ExpectTrianglesMatchBruteForce(RandomAttributedGraph(30, 0.3, seed));
+  }
+}
+
+TEST(TrianglesTest, ForEachTriangleUnderDegreeTies) {
+  // Circulant graphs are vertex-transitive: every vertex has the same
+  // degree, so the orientation is decided by the id tie-break alone.
+  Rng rng(99);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int n = 12 + trial * 3;
+    std::vector<std::pair<int, int>> edges;
+    for (int jump = 1; jump <= n / 2; ++jump) {
+      if (!rng.NextBool()) continue;
+      for (int v = 0; v < n; ++v) edges.push_back({v, (v + jump) % n});
+    }
+    AttributedGraph g = MakeGraph(std::string(n, 'a'), edges);
+    for (VertexId v = 1; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(g.degree(v), g.degree(0));
+    }
+    ExpectTrianglesMatchBruteForce(g);
+  }
+  // Sparse random graphs: most vertices share one of a few small degrees.
+  for (uint64_t seed : {5u, 6u, 7u}) {
+    ExpectTrianglesMatchBruteForce(RandomAttributedGraph(40, 0.08, seed));
+  }
+}
+
+TEST(TrianglesTest, ForEachTriangleOnCompleteStarAndEmpty) {
+  for (int n : {3, 4, 7}) {
+    std::vector<std::pair<int, int>> edges;
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) edges.push_back({a, b});
+    }
+    AttributedGraph kn = MakeGraph(std::string(n, 'b'), edges);
+    ExpectTrianglesMatchBruteForce(kn);
+    EXPECT_EQ(CountTriangles(kn), static_cast<uint64_t>(n * (n - 1) *
+                                                        (n - 2) / 6));
+  }
+  std::vector<std::pair<int, int>> spokes;
+  for (int leaf = 1; leaf < 9; ++leaf) spokes.push_back({0, leaf});
+  AttributedGraph star = MakeGraph(std::string(9, 'a'), spokes);
+  ExpectTrianglesMatchBruteForce(star);
+  EXPECT_EQ(CountTriangles(star), 0u);
+  AttributedGraph empty = MakeGraph("", {});
+  ExpectTrianglesMatchBruteForce(empty);
+  AttributedGraph isolated = MakeGraph("aab", {});
+  ExpectTrianglesMatchBruteForce(isolated);
 }
 
 TEST(AttrCountsTest, Helpers) {

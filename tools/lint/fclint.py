@@ -49,6 +49,7 @@ REQUIRED_REGIONS = {
     "hot-path:counter_increment": "Counter::Increment",
     "hot-path:histogram_record": "Histogram::Record",
     "hot-path:branch_kernel": "the branch-and-bound inner loop",
+    "hot-path:reduction_peel": "the colorful-support peel's triangle loop",
 }
 
 RAW_PRIMITIVES = re.compile(
