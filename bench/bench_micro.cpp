@@ -91,6 +91,44 @@ void BM_ForEachTriangle(benchmark::State& state) {
 }
 BENCHMARK(BM_ForEachTriangle)->Arg(1000)->Arg(4000)->Arg(16000);
 
+// GraphBuilder::Build on dblp-s x4's edge list, given in order (shuffled=0:
+// what FilteredSubgraph and DynamicGraph::Rebuild supply) and shuffled
+// (shuffled=1: the counting-sort path).
+void BM_GraphBuilderBuild(benchmark::State& state) {
+  const AttributedGraph g = LoadDataset("dblp-s", 4.0);
+  std::vector<Edge> edges(g.edges().begin(), g.edges().end());
+  if (state.range(0) != 0) {
+    Rng rng(0xB11D);
+    rng.Shuffle(edges);
+  }
+  GraphBuilder builder(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    builder.SetAttribute(v, g.attribute(v));
+  }
+  for (const Edge& e : edges) builder.AddEdge(e.u, e.v);
+  for (auto _ : state) {
+    AttributedGraph built = builder.Build();
+    benchmark::DoNotOptimize(built.max_degree());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_GraphBuilderBuild)->ArgName("shuffled")->Arg(0)->Arg(1);
+
+// FilteredSubgraph keeping about half the vertices of dblp-s x4, the way the
+// reduction pipeline materializes a stage's survivors.
+void BM_FilteredSubgraph(benchmark::State& state) {
+  const AttributedGraph g = LoadDataset("dblp-s", 4.0);
+  Rng rng(0xF17E);
+  std::vector<uint8_t> alive(g.num_vertices());
+  for (uint8_t& a : alive) a = rng.NextBool() ? 1 : 0;
+  for (auto _ : state) {
+    AttributedGraph sub = g.FilteredSubgraph(alive, {});
+    benchmark::DoNotOptimize(sub.num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_FilteredSubgraph);
+
 void BM_ColorfulSupReduction(benchmark::State& state) {
   AttributedGraph g = MakeBenchGraph(state.range(0), 12.0);
   Coloring c = GreedyColoring(g);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "common/logging.h"
 #include "graph/cores.h"
@@ -77,6 +78,30 @@ bool IsProperColoring(const AttributedGraph& g, const Coloring& coloring) {
     }
   }
   return true;
+}
+
+std::vector<VertexId> KeyOrderedNeighbors(const AttributedGraph& g,
+                                          const Coloring& coloring) {
+  const VertexId n = g.num_vertices();
+  FC_CHECK(coloring.color.size() == n) << "coloring does not match graph";
+  if (n == 0) return {};
+  auto key = [&](VertexId v) {
+    return ColorAttrKey(coloring.color[v], g.attribute(v));
+  };
+  std::vector<VertexId> start(2 * static_cast<size_t>(coloring.num_colors) + 1,
+                              0);
+  for (VertexId v = 0; v < n; ++v) ++start[key(v) + 1];
+  for (size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
+  std::vector<VertexId> by_key(n);
+  for (VertexId v = 0; v < n; ++v) by_key[start[key(v)]++] = v;
+
+  std::span<const uint64_t> offsets = g.csr_offsets();
+  std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<VertexId> rows(offsets.back());
+  for (VertexId w : by_key) {
+    for (VertexId x : g.neighbors(w)) rows[cursor[x]++] = w;
+  }
+  return rows;
 }
 
 std::vector<AttrCounts> ColorfulDegrees(const AttributedGraph& g,

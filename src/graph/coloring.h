@@ -1,6 +1,7 @@
 #ifndef FAIRCLIQUE_GRAPH_COLORING_H_
 #define FAIRCLIQUE_GRAPH_COLORING_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -25,6 +26,22 @@ struct Coloring {
 
   ColorId operator[](VertexId v) const { return color[v]; }
 };
+
+/// The (color, attribute) key of a vertex, (color << 1) | attribute: a
+/// color's a-side sorts directly before its b-side. Keys are dense in
+/// [0, 2 * num_colors).
+inline uint32_t ColorAttrKey(ColorId color, Attribute attr) {
+  return (static_cast<uint32_t>(color) << 1) | static_cast<uint32_t>(attr);
+}
+
+/// Every neighbor row of `g` reordered by the neighbors' ColorAttrKey, ties
+/// by vertex id. The result is parallel to g.csr_adjacency(): row v is the
+/// slice [csr_offsets()[v], csr_offsets()[v+1]). A counting sort of the
+/// vertices by key, then one scatter of each vertex into its neighbors'
+/// rows, so rows fill in key order without a comparison sort:
+/// O(V + E + num_colors) time, 4 B per adjacency entry.
+std::vector<VertexId> KeyOrderedNeighbors(const AttributedGraph& g,
+                                          const Coloring& coloring);
 
 /// Greedy proper coloring: visit vertices in the chosen order, assign the
 /// smallest color absent from already-colored neighbors. Guarantees

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <string>
 
 #include "common/logging.h"
@@ -38,8 +39,9 @@ AttributedGraph AttributedGraph::InducedSubgraph(
   for (size_t i = 0; i < vertices.size(); ++i) {
     VertexId u = vertices[i];
     for (VertexId w : neighbors(u)) {
-      // Emit each edge once, from the endpoint with the larger original id.
-      if (w < u && local[w] != kInvalidVertex) {
+      // Emit each edge once, from the endpoint with the smaller original
+      // id: for a sorted vertex list the edges then arrive in order.
+      if (w > u && local[w] != kInvalidVertex) {
         builder.AddEdge(static_cast<VertexId>(i), local[w]);
       }
     }
@@ -160,12 +162,41 @@ void GraphBuilder::AddEdge(VertexId u, VertexId v) {
   raw_edges_.push_back({u, v});
 }
 
+namespace {
+
+// Stable counting sort of `in` by the endpoint `field` into `out`: O(V + E).
+void CountingSortEdges(std::span<const Edge> in, VertexId Edge::*field,
+                       VertexId num_vertices, std::span<Edge> out) {
+  std::vector<size_t> start(static_cast<size_t>(num_vertices) + 1, 0);
+  for (const Edge& e : in) ++start[e.*field + 1];
+  for (size_t v = 1; v < start.size(); ++v) start[v] += start[v - 1];
+  for (const Edge& e : in) out[start[e.*field]++] = e;
+}
+
+// The edges of `raw` (each with u < v) sorted by (u, v), duplicates dropped.
+// Input already in order (FilteredSubgraph, DynamicGraph::Rebuild) is only
+// copied; otherwise two stable counting sorts, by v then by u, order it in
+// O(V + E).
+std::vector<Edge> SortedUniqueEdges(std::span<const Edge> raw,
+                                    VertexId num_vertices) {
+  std::vector<Edge> edges;
+  if (std::is_sorted(raw.begin(), raw.end())) {
+    edges.assign(raw.begin(), raw.end());
+  } else {
+    std::vector<Edge> by_v(raw.size());
+    CountingSortEdges(raw, &Edge::v, num_vertices, by_v);
+    edges.resize(raw.size());
+    CountingSortEdges(by_v, &Edge::u, num_vertices, edges);
+  }
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+}  // namespace
+
 AttributedGraph GraphBuilder::Build() const {
   auto store = std::make_shared<AttributedGraph::OwnedCsr>();
-  store->edges = raw_edges_;
-  std::sort(store->edges.begin(), store->edges.end());
-  store->edges.erase(std::unique(store->edges.begin(), store->edges.end()),
-                     store->edges.end());
+  store->edges = SortedUniqueEdges(raw_edges_, num_vertices_);
   store->attributes = attributes_;
 
   AttributedGraph g;
@@ -175,50 +206,36 @@ AttributedGraph GraphBuilder::Build() const {
   }
 
   const size_t n = num_vertices_;
-  std::vector<uint32_t> deg(n, 0);
-  for (const Edge& e : store->edges) {
-    deg[e.u]++;
-    deg[e.v]++;
-  }
+  const std::span<const Edge> edges = store->edges;
   store->offsets.assign(n + 1, 0);
+  store->adjacency.resize(2 * edges.size());
+  store->adjacency_edge_ids.resize(2 * edges.size());
+  std::vector<uint64_t> cursor(n, 0);
+  uint64_t* offsets = store->offsets.data();
+  VertexId* adjacency = store->adjacency.data();
+  EdgeId* adjacency_edge_ids = store->adjacency_edge_ids.data();
+  // fclint: hot-path-begin(csr_build)
+  for (const Edge& e : edges) {
+    offsets[e.u + 1]++;
+    offsets[e.v + 1]++;
+  }
   for (size_t v = 0; v < n; ++v) {
-    store->offsets[v + 1] = store->offsets[v] + deg[v];
+    g.max_degree_ = std::max(g.max_degree_,
+                             static_cast<uint32_t>(offsets[v + 1]));
+    cursor[v] = offsets[v];
+    offsets[v + 1] += offsets[v];
   }
-  store->adjacency.resize(2 * store->edges.size());
-  store->adjacency_edge_ids.resize(2 * store->edges.size());
-
-  std::vector<uint64_t> cursor(store->offsets.begin(),
-                               store->offsets.end() - 1);
-  // Edges are sorted by (u, v); filling forward keeps every row sorted for
-  // the u side. The v side receives u values in increasing u order, also
-  // sorted.
-  for (EdgeId e = 0; e < store->edges.size(); ++e) {
-    const Edge& edge = store->edges[e];
-    store->adjacency[cursor[edge.u]] = edge.v;
-    store->adjacency_edge_ids[cursor[edge.u]] = e;
-    cursor[edge.u]++;
-    store->adjacency[cursor[edge.v]] = edge.u;
-    store->adjacency_edge_ids[cursor[edge.v]] = e;
-    cursor[edge.v]++;
+  // Edges are sorted by (u, v), so row x first receives its neighbors
+  // below x (edges (u, x), in increasing u) and then those above it (edges
+  // (x, v), in increasing v): every row fills already sorted.
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    const Edge& edge = edges[e];
+    adjacency[cursor[edge.u]] = edge.v;
+    adjacency_edge_ids[cursor[edge.u]++] = e;
+    adjacency[cursor[edge.v]] = edge.u;
+    adjacency_edge_ids[cursor[edge.v]++] = e;
   }
-  // The v-side insertions interleave with u-side ones, so rows are not yet
-  // globally sorted; sort each row (pairing neighbor with edge id).
-  for (size_t v = 0; v < n; ++v) {
-    uint64_t begin = store->offsets[v];
-    uint64_t end = store->offsets[v + 1];
-    // Sort a permutation to keep neighbor/edge-id arrays parallel.
-    std::vector<std::pair<VertexId, EdgeId>> row;
-    row.reserve(end - begin);
-    for (uint64_t i = begin; i < end; ++i) {
-      row.emplace_back(store->adjacency[i], store->adjacency_edge_ids[i]);
-    }
-    std::sort(row.begin(), row.end());
-    for (uint64_t i = begin; i < end; ++i) {
-      store->adjacency[i] = row[i - begin].first;
-      store->adjacency_edge_ids[i] = row[i - begin].second;
-    }
-    g.max_degree_ = std::max(g.max_degree_, static_cast<uint32_t>(end - begin));
-  }
+  // fclint: hot-path-end
   g.offsets_ = store->offsets;
   g.adjacency_ = store->adjacency;
   g.adjacency_edge_ids_ = store->adjacency_edge_ids;

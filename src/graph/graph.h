@@ -143,7 +143,9 @@ class AttributedGraph {
 
 /// Accumulates edges and attributes, then produces a normalized
 /// AttributedGraph: self-loops dropped, duplicate edges collapsed, adjacency
-/// sorted, edge ids assigned.
+/// sorted, edge ids assigned. Build() is O(V + E) with no comparison sort:
+/// an edge list already in (u, v) order is only copied, any other is
+/// ordered by two counting-sort passes, and the CSR rows then fill sorted.
 class GraphBuilder {
  public:
   /// Creates a builder for `num_vertices` vertices, all with attribute kA.

@@ -4,11 +4,6 @@ namespace fairclique {
 
 DegreeOrientation OrientByDegree(const AttributedGraph& g) {
   const VertexId n = g.num_vertices();
-  auto ranks_below = [&g](VertexId u, VertexId v) {
-    const uint32_t du = g.degree(u);
-    const uint32_t dv = g.degree(v);
-    return du != dv ? du < dv : u < v;
-  };
   DegreeOrientation orient;
   orient.offsets.resize(n + 1);
   orient.arcs.resize(g.num_edges());
@@ -21,7 +16,7 @@ DegreeOrientation OrientByDegree(const AttributedGraph& g) {
     auto nbrs = g.neighbors(u);
     auto eids = g.edge_ids(u);
     for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (ranks_below(u, nbrs[i])) orient.arcs[pos++] = {nbrs[i], eids[i]};
+      if (RanksBelow(g, u, nbrs[i])) orient.arcs[pos++] = {nbrs[i], eids[i]};
     }
   }
   orient.offsets[n] = pos;

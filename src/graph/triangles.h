@@ -52,6 +52,14 @@ struct DegreeOrientation {
   }
 };
 
+/// True when u ranks below v in (degree, id) order: the orientation's arc
+/// between them runs u -> v.
+inline bool RanksBelow(const AttributedGraph& g, VertexId u, VertexId v) {
+  const uint32_t du = g.degree(u);
+  const uint32_t dv = g.degree(v);
+  return du != dv ? du < dv : u < v;
+}
+
 /// Builds the degree orientation of `g`. O(V + E).
 DegreeOrientation OrientByDegree(const AttributedGraph& g);
 

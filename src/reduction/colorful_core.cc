@@ -1,6 +1,7 @@
 #include "reduction/colorful_core.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.h"
 
@@ -9,16 +10,12 @@ namespace fairclique {
 namespace {
 
 // Per-vertex multiset of neighbor (attribute, color) pairs, stored as a
-// sorted flat array keyed by (color << 1) | attr with a count per key.
-// Lookup is binary search; the whole structure is built once in O(sum deg).
+// sorted flat array keyed by ColorAttrKey with a count per key. Lookup is
+// binary search; the whole structure is built once in O(V + E + colors).
 struct ColorCountTable {
   std::vector<uint32_t> keys;    // concatenated per-vertex sorted key arrays
   std::vector<uint32_t> counts;  // parallel to keys
   std::vector<uint64_t> offsets; // size V+1
-
-  static uint32_t MakeKey(ColorId color, Attribute attr) {
-    return (static_cast<uint32_t>(color) << 1) | static_cast<uint32_t>(attr);
-  }
 
   // Index of `key` within vertex v's slice; FC_CHECKs that it exists.
   size_t Find(VertexId v, uint32_t key) const {
@@ -32,32 +29,27 @@ struct ColorCountTable {
   void Build(const AttributedGraph& g, const Coloring& coloring) {
     const VertexId n = g.num_vertices();
     offsets.assign(n + 1, 0);
-    std::vector<uint32_t> scratch;
-    std::vector<uint32_t> scratch_counts;
-    keys.clear();
-    counts.clear();
-    keys.reserve(2 * g.num_edges());
-    counts.reserve(2 * g.num_edges());
+    // Rows of KeyOrderedNeighbors hold equal keys together, so each row
+    // run-length encodes into (key, count) pairs in place, left to right.
+    keys = KeyOrderedNeighbors(g, coloring);
+    counts.resize(keys.size());
+    size_t out = 0;
+    std::span<const uint64_t> row_offsets = g.csr_offsets();
     for (VertexId v = 0; v < n; ++v) {
-      scratch.clear();
-      for (VertexId w : g.neighbors(v)) {
-        scratch.push_back(MakeKey(coloring.color[w], g.attribute(w)));
+      for (uint64_t i = row_offsets[v]; i < row_offsets[v + 1]; ++i) {
+        const VertexId w = keys[i];
+        const uint32_t key = ColorAttrKey(coloring.color[w], g.attribute(w));
+        if (out > offsets[v] && keys[out - 1] == key) {
+          ++counts[out - 1];
+        } else {
+          keys[out] = key;
+          counts[out++] = 1;
+        }
       }
-      std::sort(scratch.begin(), scratch.end());
-      scratch_counts.clear();
-      size_t out = 0;
-      for (size_t i = 0; i < scratch.size();) {
-        size_t j = i;
-        while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-        scratch[out] = scratch[i];
-        scratch_counts.push_back(static_cast<uint32_t>(j - i));
-        ++out;
-        i = j;
-      }
-      keys.insert(keys.end(), scratch.begin(), scratch.begin() + out);
-      counts.insert(counts.end(), scratch_counts.begin(), scratch_counts.end());
-      offsets[v + 1] = keys.size();
+      offsets[v + 1] = out;
     }
+    keys.resize(out);
+    counts.resize(out);
   }
 };
 
@@ -96,7 +88,8 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
   while (!queue.empty()) {
     VertexId v = queue.back();
     queue.pop_back();
-    uint32_t key = ColorCountTable::MakeKey(coloring.color[v], g.attribute(v));
+    uint32_t key = ColorAttrKey(coloring.color[v], g.attribute(v));
+    // fclint: hot-path-begin(colour_core_peel)
     for (VertexId u : g.neighbors(v)) {
       if (!result.alive[u]) continue;
       size_t idx = table.Find(u, key);
@@ -109,6 +102,7 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
         }
       }
     }
+    // fclint: hot-path-end
   }
   for (VertexId v = 0; v < n; ++v) {
     if (result.alive[v]) result.vertices_left++;
@@ -168,20 +162,25 @@ VertexReductionResult EnColorfulCore(const AttributedGraph& g,
     queue.pop_back();
     const ColorId color = coloring.color[v];
     const Attribute attr = g.attribute(v);
-    const uint32_t key = ColorCountTable::MakeKey(color, attr);
-    const uint32_t other_key = ColorCountTable::MakeKey(color, Other(attr));
+    const uint32_t key = ColorAttrKey(color, attr);
+    const uint32_t other_key = ColorAttrKey(color, Other(attr));
+    // fclint: hot-path-begin(colour_core_peel)
     for (VertexId u : g.neighbors(v)) {
       if (!result.alive[u]) continue;
       size_t idx = table.Find(u, key);
       if (--table.counts[idx] != 0) continue;
       // Color `color` lost its `attr` side at u; reclassify.
-      // Does u still see the other attribute with this color?
-      const uint32_t* begin = table.keys.data() + table.offsets[u];
-      const uint32_t* end = table.keys.data() + table.offsets[u + 1];
-      const uint32_t* it = std::lower_bound(begin, end, other_key);
+      // Does u still see the other attribute with this color? A color's
+      // two keys sit next to each other in u's sorted slice.
       bool other_alive = false;
-      if (it != end && *it == other_key) {
-        other_alive = table.counts[it - table.keys.data()] > 0;
+      if (attr == Attribute::kA) {
+        other_alive = idx + 1 < table.offsets[u + 1] &&
+                      table.keys[idx + 1] == other_key &&
+                      table.counts[idx + 1] > 0;
+      } else {
+        other_alive = idx > table.offsets[u] &&
+                      table.keys[idx - 1] == other_key &&
+                      table.counts[idx - 1] > 0;
       }
       if (other_alive) {
         // mixed -> other-only
@@ -204,6 +203,7 @@ VertexReductionResult EnColorfulCore(const AttributedGraph& g,
         queue.push_back(u);
       }
     }
+    // fclint: hot-path-end
   }
   for (VertexId v = 0; v < n; ++v) {
     if (result.alive[v]) result.vertices_left++;
@@ -260,7 +260,7 @@ ColorfulCoreDecomposition ComputeColorfulCores(const AttributedGraph& g,
     result.peel_order.push_back(v);
     ++processed;
     const uint32_t key =
-        ColorCountTable::MakeKey(coloring.color[v], g.attribute(v));
+        ColorAttrKey(coloring.color[v], g.attribute(v));
     for (VertexId u : g.neighbors(v)) {
       if (removed[u]) continue;
       size_t idx = table.Find(u, key);

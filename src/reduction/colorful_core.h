@@ -24,8 +24,11 @@ struct VertexReductionResult {
 /// parameter k is contained in the colorful (k-1)-core, so callers pass
 /// k-1 for reduction.
 ///
-/// O(V + E * 1) peeling with per-(vertex, attribute, color) counters;
-/// space O(sum deg) via per-vertex color maps.
+/// Peels with per-(vertex, attribute, color) counters: a flat table of
+/// each vertex's distinct neighbor keys, built without sorting from the
+/// key-ordered rows of KeyOrderedNeighbors in O(V + E + colors), then one
+/// binary search per (removed vertex, live neighbor) pair. Space 8 B per
+/// distinct (vertex, key) pair, plus 4 B per adjacency entry while building.
 VertexReductionResult ColorfulCore(const AttributedGraph& g,
                                    const Coloring& coloring, int k);
 

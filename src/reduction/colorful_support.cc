@@ -11,13 +11,13 @@ namespace fairclique {
 
 namespace {
 
-// Per-edge triangle slots, filled from a degree-oriented triangle listing.
-// Slot i of edge (u,v) holds one common neighbor w of u and v. An edge's
-// slots are sorted by w's (color, attribute) key, and the first slot of each
-// run of equal keys holds the run's live count (the others hold 0), so the
-// runs are the multiset M_(u,v) of Algorithm 1. The same slots are the
-// triangle list PeelEdges tears down: a triangle's two other sides are found
-// with FindEdge instead of by re-intersecting adjacency rows.
+// Per-edge triangle slots. Slot i of edge (u,v) holds one common neighbor w
+// of u and v. An edge's slots are sorted by w's (color, attribute) key, and
+// the first slot of each run of equal keys holds the run's live count (the
+// others hold 0), so the runs are the multiset M_(u,v) of Algorithm 1. The
+// same slots are the triangle list PeelEdges tears down: a triangle's two
+// other sides are found with FindEdge instead of by re-intersecting
+// adjacency rows.
 class TriangleSlotTable {
  public:
   struct Slot {
@@ -26,50 +26,67 @@ class TriangleSlotTable {
   };
 
   TriangleSlotTable(const AttributedGraph& g, const Coloring& coloring) {
+    const VertexId n = g.num_vertices();
     const EdgeId m = g.num_edges();
-    vertex_key_.resize(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      vertex_key_[v] = MakeKey(coloring.color[v], g.attribute(v));
+    vertex_key_.resize(n);
+    for (VertexId v = 0; v < n; ++v) {
+      vertex_key_[v] = ColorAttrKey(coloring.color[v], g.attribute(v));
     }
-    // Pass 1 sizes every edge's slot range exactly; pass 2 fills it, using
-    // offsets_[e] as e's write cursor (shifted back to a start afterwards).
-    const DegreeOrientation orient = OrientByDegree(g);
+    // Count pass: the degree-oriented listing sizes every edge's slot range
+    // exactly.
     offsets_.assign(m + 1, 0);
-    ForEachTriangle(orient, [this](VertexId, VertexId, VertexId, EdgeId euv,
-                                   EdgeId euw, EdgeId evw) {
+    ForEachTriangle(g, [this](VertexId, VertexId, VertexId, EdgeId euv,
+                              EdgeId euw, EdgeId evw) {
       ++offsets_[euv + 1];
       ++offsets_[euw + 1];
       ++offsets_[evw + 1];
     });
     for (EdgeId e = 0; e < m; ++e) offsets_[e + 1] += offsets_[e];
     slots_.resize(offsets_[m]);
-    // While filling, `count` carries the slot's key for the sort below.
-    ForEachTriangle(orient, [this](VertexId u, VertexId v, VertexId w,
-                                   EdgeId euv, EdgeId euw, EdgeId evw) {
-      slots_[offsets_[euv]++] = {w, vertex_key_[w]};
-      slots_[offsets_[euw]++] = {v, vertex_key_[v]};
-      slots_[offsets_[evw]++] = {u, vertex_key_[u]};
-    });
-    for (EdgeId e = m; e > 0; --e) offsets_[e] = offsets_[e - 1];
-    offsets_[0] = 0;
-    for (EdgeId e = 0; e < m; ++e) {
-      std::span<Slot> s = slots(e);
-      std::sort(s.begin(), s.end(), [](const Slot& a, const Slot& b) {
-        return a.count < b.count;
-      });
-      for (size_t i = 0; i < s.size();) {
-        const uint32_t key = s[i].count;
-        size_t j = i;
-        for (; j < s.size() && s[j].count == key; ++j) s[j].count = 0;
-        s[i].count = static_cast<uint32_t>(j - i);
-        i = j;
+    // Fill pass: for every vertex v, mark its neighbors, then scan the
+    // key-ordered row of each lower-ranked neighbor u against the marks
+    // until the edge's range is full. The common neighbors of (u, v) arrive
+    // in key order, so only the run heads are left to set. O(alpha * E):
+    // each edge scans at most the row of its lower-(degree, id) endpoint.
+    const std::vector<VertexId> by_key = KeyOrderedNeighbors(g, coloring);
+    std::span<const uint64_t> rows = g.csr_offsets();
+    std::vector<uint8_t> mark(n, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      const auto nbrs = g.neighbors(v);
+      const auto eids = g.edge_ids(v);
+      bool marked = false;
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        const VertexId u = nbrs[i];
+        Slot* const begin = slots_.data() + offsets_[eids[i]];
+        Slot* const end = slots_.data() + offsets_[eids[i] + 1];
+        if (begin == end || !RanksBelow(g, u, v)) continue;
+        if (!marked) {
+          for (VertexId w : nbrs) mark[w] = 1;
+          marked = true;
+        }
+        // Branch-free: every candidate is written, and kept by advancing
+        // past it only when marked.
+        Slot* out = begin;
+        const VertexId* it = by_key.data() + rows[u];
+        const VertexId* const row_end = by_key.data() + rows[u + 1];
+        while (out != end && it != row_end) {
+          out->w = *it++;
+          out += mark[out->w];
+        }
+        for (Slot* head = begin; head != end;) {
+          const uint32_t key = vertex_key_[head->w];
+          Slot* next = head + 1;
+          for (; next != end && vertex_key_[next->w] == key; ++next) {
+            next->count = 0;
+          }
+          head->count = static_cast<uint32_t>(next - head);
+          head = next;
+        }
+      }
+      if (marked) {
+        for (VertexId w : nbrs) mark[w] = 0;
       }
     }
-  }
-
-  // (color << 1) | attr: a color's a-run sorts directly before its b-run.
-  static uint32_t MakeKey(ColorId color, Attribute attr) {
-    return (static_cast<uint32_t>(color) << 1) | static_cast<uint32_t>(attr);
   }
 
   uint32_t key(VertexId w) const { return vertex_key_[w]; }

@@ -34,15 +34,19 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 /// The surviving subgraph contains every relative fair clique with size
 /// parameter k.
 ///
-/// Both support reductions build one per-edge triangle-slot table from a
-/// degree-oriented triangle listing (graph/triangles.h, O(alpha * E)): each
+/// Both support reductions build one per-edge triangle-slot table: each
 /// triangle puts its third vertex into a slot of each of its three edges,
-/// and an edge's slots, sorted by (color, attribute), are M_(u,v) of
-/// Algorithm 1. The peel tears each triangle down once from those slots,
-/// finding its other two sides with FindEdge. Time O(alpha * E) for the
-/// listing plus O(log) per slot to sort it and to tear it down; space 8 B
-/// per (edge, triangle) slot plus 8 B per edge, next to O(E) flags and
-/// per-edge support counts.
+/// and an edge's slots, in (color, attribute) key order, are M_(u,v) of
+/// Algorithm 1. A degree-oriented triangle listing (graph/triangles.h)
+/// sizes every edge's range; the fill scans, for each edge, the key-ordered
+/// row (KeyOrderedNeighbors) of its lower-(degree, id) endpoint against
+/// byte marks on the other endpoint's neighbors, so the slots arrive in key
+/// order with no sort. The peel tears each triangle down once from those
+/// slots, finding its other two sides with FindEdge. Time O(alpha * E) for
+/// listing and fill plus O(log) per slot to tear it down; space 8 B per
+/// (edge, triangle) slot plus 8 B per edge, next to O(E) flags and per-edge
+/// support counts. The key-ordered rows (4 B per adjacency entry) live only
+/// while the table is filled.
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k);
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "graph/coloring.h"
 #include "test_util.h"
@@ -96,6 +98,30 @@ TEST(ColorfulDegreesTest, MatchesBruteForceOnRandomGraphs) {
       EXPECT_EQ(d[v][Attribute::kB], static_cast<int64_t>(colors_b.size()));
     }
   }
+}
+
+TEST(KeyOrderedNeighborsTest, RowsAreNeighborsInKeyThenIdOrder) {
+  for (uint64_t seed : {5u, 6u, 7u}) {
+    AttributedGraph g = RandomAttributedGraph(60, 0.15, seed);
+    Coloring c = GreedyColoring(g);
+    const std::vector<VertexId> rows = KeyOrderedNeighbors(g, c);
+    ASSERT_EQ(rows.size(), g.csr_adjacency().size());
+    auto key = [&](VertexId w) {
+      return ColorAttrKey(c.color[w], g.attribute(w));
+    };
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      std::vector<VertexId> expected(g.neighbors(v).begin(),
+                                     g.neighbors(v).end());
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&](VertexId a, VertexId b) { return key(a) < key(b); });
+      const std::vector<VertexId> row(
+          rows.begin() + static_cast<ptrdiff_t>(g.csr_offsets()[v]),
+          rows.begin() + static_cast<ptrdiff_t>(g.csr_offsets()[v + 1]));
+      EXPECT_EQ(row, expected) << "seed=" << seed << " v=" << v;
+    }
+  }
+  AttributedGraph empty = MakeGraph("", {});
+  EXPECT_TRUE(KeyOrderedNeighbors(empty, GreedyColoring(empty)).empty());
 }
 
 TEST(BalancedAssignMinTest, KnownValues) {

@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
+#include "datasets/datasets.h"
+#include "graph/fingerprint.h"
 #include "graph/graph.h"
 #include "graph/triangles.h"
 #include "test_util.h"
@@ -299,6 +305,223 @@ TEST(TrianglesTest, ForEachTriangleOnCompleteStarAndEmpty) {
   ExpectTrianglesMatchBruteForce(empty);
   AttributedGraph isolated = MakeGraph("aab", {});
   ExpectTrianglesMatchBruteForce(isolated);
+}
+
+// ---------------------------------------------------------------------------
+// Differential gate for the sort-free GraphBuilder::Build: a test-only copy of
+// the comparison-sort build it replaced, adopted through FromCsr, must give
+// the same CSR arrays, validity and fingerprint.
+
+using Insertions = std::vector<std::pair<VertexId, VertexId>>;
+
+namespace reference {
+
+struct OwnedCsr {
+  std::vector<uint64_t> offsets;
+  std::vector<VertexId> adjacency;
+  std::vector<EdgeId> edge_ids;
+  std::vector<Edge> edges;
+  std::vector<uint8_t> attributes;
+};
+
+// The sort-based build: std::sort over the edge list, then a fill followed
+// by a std::sort of every adjacency row paired with its edge ids.
+AttributedGraph SortBuild(VertexId n, const Insertions& insertions,
+                          const std::vector<uint8_t>& attributes) {
+  auto store = std::make_shared<OwnedCsr>();
+  for (auto [u, v] : insertions) {
+    if (u == v) continue;
+    store->edges.push_back({std::min(u, v), std::max(u, v)});
+  }
+  std::sort(store->edges.begin(), store->edges.end());
+  store->edges.erase(std::unique(store->edges.begin(), store->edges.end()),
+                     store->edges.end());
+  store->attributes = attributes;
+  std::vector<uint32_t> deg(n, 0);
+  for (const Edge& e : store->edges) {
+    deg[e.u]++;
+    deg[e.v]++;
+  }
+  store->offsets.assign(n + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    store->offsets[v + 1] = store->offsets[v] + deg[v];
+  }
+  store->adjacency.resize(2 * store->edges.size());
+  store->edge_ids.resize(2 * store->edges.size());
+  std::vector<uint64_t> cursor(store->offsets.begin(),
+                               store->offsets.end() - 1);
+  for (EdgeId e = 0; e < store->edges.size(); ++e) {
+    const Edge& edge = store->edges[e];
+    store->adjacency[cursor[edge.u]] = edge.v;
+    store->edge_ids[cursor[edge.u]++] = e;
+    store->adjacency[cursor[edge.v]] = edge.u;
+    store->edge_ids[cursor[edge.v]++] = e;
+  }
+  uint32_t max_degree = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    std::vector<std::pair<VertexId, EdgeId>> row;
+    for (uint64_t i = store->offsets[v]; i < store->offsets[v + 1]; ++i) {
+      row.emplace_back(store->adjacency[i], store->edge_ids[i]);
+    }
+    std::sort(row.begin(), row.end());
+    for (size_t i = 0; i < row.size(); ++i) {
+      store->adjacency[store->offsets[v] + i] = row[i].first;
+      store->edge_ids[store->offsets[v] + i] = row[i].second;
+    }
+    max_degree = std::max(max_degree, deg[v]);
+  }
+  return AttributedGraph::FromCsr(store->offsets, store->adjacency,
+                                  store->edge_ids, store->edges,
+                                  store->attributes, max_degree, store);
+}
+
+}  // namespace reference
+
+AttributedGraph BuildFromInsertions(VertexId n, const Insertions& insertions,
+                                    const std::vector<uint8_t>& attributes) {
+  GraphBuilder builder(n);
+  for (VertexId v = 0; v < n; ++v) {
+    builder.SetAttribute(v, static_cast<Attribute>(attributes[v]));
+  }
+  for (auto [u, v] : insertions) builder.AddEdge(u, v);
+  return builder.Build();
+}
+
+template <typename T>
+std::vector<T> ToVector(std::span<const T> s) {
+  return std::vector<T>(s.begin(), s.end());
+}
+
+void ExpectSameGraph(const AttributedGraph& got, const AttributedGraph& want,
+                     const std::string& label) {
+  EXPECT_EQ(ToVector(got.csr_offsets()), ToVector(want.csr_offsets()))
+      << label;
+  EXPECT_EQ(ToVector(got.csr_adjacency()), ToVector(want.csr_adjacency()))
+      << label;
+  EXPECT_EQ(ToVector(got.csr_edge_ids()), ToVector(want.csr_edge_ids()))
+      << label;
+  EXPECT_EQ(ToVector(got.edges()), ToVector(want.edges())) << label;
+  EXPECT_EQ(ToVector(got.attribute_bytes()), ToVector(want.attribute_bytes()))
+      << label;
+  EXPECT_EQ(got.max_degree(), want.max_degree()) << label;
+  EXPECT_EQ(got.attribute_counts(), want.attribute_counts()) << label;
+  EXPECT_TRUE(got.Validate().ok()) << label;
+  EXPECT_TRUE(want.Validate().ok()) << label;
+  EXPECT_EQ(GraphFingerprint(got), GraphFingerprint(want)) << label;
+}
+
+std::vector<uint8_t> RandomAttributes(VertexId n, Rng& rng) {
+  std::vector<uint8_t> attributes(n);
+  for (uint8_t& a : attributes) a = rng.NextBool() ? 1 : 0;
+  return attributes;
+}
+
+TEST(GraphBuilderDifferentialTest, RandomEdgeListsMatchSortBasedBuild) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    const VertexId n = static_cast<VertexId>(rng.NextBounded(48));
+    // Endpoints come from the low part of the id range only, so the top
+    // vertices of some graphs stay isolated; n == 0 and m == 0 occur too.
+    const VertexId span = n - static_cast<VertexId>(rng.NextBounded(n / 3 + 1));
+    const size_t m = span == 0 ? 0 : rng.NextBounded(4 * span + 1);
+    Insertions insertions;
+    for (size_t i = 0; i < m; ++i) {
+      if (!insertions.empty() && rng.NextBool(0.15)) {
+        // Duplicate of an earlier insertion, sometimes reversed.
+        auto [u, v] = insertions[rng.NextBounded(insertions.size())];
+        insertions.push_back(rng.NextBool() ? std::pair{v, u}
+                                            : std::pair{u, v});
+        continue;
+      }
+      const VertexId u = static_cast<VertexId>(rng.NextBounded(span));
+      const VertexId v = rng.NextBool(0.05)
+                             ? u  // self-loop
+                             : static_cast<VertexId>(rng.NextBounded(span));
+      insertions.emplace_back(u, v);
+    }
+    const std::vector<uint8_t> attributes = RandomAttributes(n, rng);
+    const AttributedGraph want =
+        reference::SortBuild(n, insertions, attributes);
+
+    Insertions sorted = insertions;
+    std::sort(sorted.begin(), sorted.end(), [](auto a, auto b) {
+      return std::pair{std::min(a.first, a.second),
+                       std::max(a.first, a.second)} <
+             std::pair{std::min(b.first, b.second),
+                       std::max(b.first, b.second)};
+    });
+    Insertions shuffled = insertions;
+    rng.Shuffle(shuffled);
+    const std::string label = "seed " + std::to_string(seed);
+    ExpectSameGraph(BuildFromInsertions(n, sorted, attributes), want,
+                    label + " sorted");
+    ExpectSameGraph(BuildFromInsertions(n, shuffled, attributes), want,
+                    label + " shuffled");
+  }
+}
+
+TEST(GraphBuilderDifferentialTest, StandInSubgraphsMatchSortBasedBuild) {
+  for (const DatasetSpec& spec : StandardDatasets()) {
+    const AttributedGraph g = LoadDataset(spec.name);
+    const VertexId n = g.num_vertices();
+    const std::vector<uint8_t> attributes = ToVector(g.attribute_bytes());
+    Insertions all;
+    for (const Edge& e : g.edges()) all.emplace_back(e.v, e.u);
+    Rng rng(GraphFingerprint(g));
+    rng.Shuffle(all);
+    ExpectSameGraph(BuildFromInsertions(n, all, attributes), g,
+                    spec.name + " rebuilt");
+    for (double keep : {0.3, 0.7, 1.0}) {
+      const std::string label = spec.name + " keep " + std::to_string(keep);
+      std::vector<uint8_t> vertex_alive(n);
+      for (uint8_t& a : vertex_alive) a = rng.NextBool(keep) ? 1 : 0;
+      std::vector<uint8_t> edge_alive(g.num_edges());
+      for (uint8_t& a : edge_alive) a = rng.NextBool(keep) ? 1 : 0;
+      std::vector<VertexId> kept;
+      std::vector<VertexId> local(n, kInvalidVertex);
+      for (VertexId v = 0; v < n; ++v) {
+        if (!vertex_alive[v]) continue;
+        local[v] = static_cast<VertexId>(kept.size());
+        kept.push_back(v);
+      }
+      std::vector<uint8_t> kept_attributes;
+      for (VertexId v : kept) kept_attributes.push_back(attributes[v]);
+      Insertions filtered;
+      Insertions induced;
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        const Edge& edge = g.edges()[e];
+        if (!vertex_alive[edge.u] || !vertex_alive[edge.v]) continue;
+        induced.emplace_back(local[edge.u], local[edge.v]);
+        if (edge_alive[e]) filtered.emplace_back(local[edge.u], local[edge.v]);
+      }
+      const VertexId k = static_cast<VertexId>(kept.size());
+      ExpectSameGraph(g.FilteredSubgraph(vertex_alive, edge_alive),
+                      reference::SortBuild(k, filtered, kept_attributes),
+                      label + " filtered");
+      ExpectSameGraph(g.FilteredSubgraph(vertex_alive, {}),
+                      reference::SortBuild(k, induced, kept_attributes),
+                      label + " filtered, all edges");
+      ExpectSameGraph(g.InducedSubgraph(kept),
+                      reference::SortBuild(k, induced, kept_attributes),
+                      label + " induced");
+      // In shuffled order the subgraph's ids follow the shuffled list.
+      std::vector<VertexId> order = kept;
+      rng.Shuffle(order);
+      std::vector<VertexId> position(n, kInvalidVertex);
+      std::vector<uint8_t> order_attributes;
+      for (VertexId i = 0; i < k; ++i) {
+        position[order[i]] = i;
+        order_attributes.push_back(attributes[order[i]]);
+      }
+      Insertions reordered;
+      for (auto [u, v] : induced) {
+        reordered.emplace_back(position[kept[u]], position[kept[v]]);
+      }
+      ExpectSameGraph(g.InducedSubgraph(order),
+                      reference::SortBuild(k, reordered, order_attributes),
+                      label + " induced, shuffled");
+    }
+  }
 }
 
 TEST(AttrCountsTest, Helpers) {

@@ -50,6 +50,8 @@ REQUIRED_REGIONS = {
     "hot-path:histogram_record": "Histogram::Record",
     "hot-path:branch_kernel": "the branch-and-bound inner loop",
     "hot-path:reduction_peel": "the colorful-support peel's triangle loop",
+    "hot-path:csr_build": "GraphBuilder::Build's CSR fill",
+    "hot-path:colour_core_peel": "the ColorfulCore/EnColorfulCore peel loop",
 }
 
 RAW_PRIMITIVES = re.compile(
