@@ -140,6 +140,23 @@ void BM_ColorfulSupReduction(benchmark::State& state) {
 }
 BENCHMARK(BM_ColorfulSupReduction)->Arg(1000)->Arg(4000);
 
+// ColorfulSupReduction on the input the reduction pipeline feeds it: the
+// EnColorfulCore (k-1)-core of pokec-s x4, recolored, at k = state.range(0).
+void BM_ColorfulSupReductionPokecCore(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const AttributedGraph raw = LoadDataset("pokec-s", 4.0);
+  const VertexReductionResult core =
+      EnColorfulCore(raw, GreedyColoring(raw), k - 1);
+  const AttributedGraph g = raw.FilteredSubgraph(core.alive, {});
+  const Coloring c = GreedyColoring(g);
+  for (auto _ : state) {
+    EdgeReductionResult r = ColorfulSupReduction(g, c, k);
+    benchmark::DoNotOptimize(r.edges_left);
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_ColorfulSupReductionPokecCore)->ArgName("k")->Arg(3)->Arg(6);
+
 void BM_EnColorfulSupReduction(benchmark::State& state) {
   AttributedGraph g = MakeBenchGraph(state.range(0), 12.0);
   Coloring c = GreedyColoring(g);

@@ -11,6 +11,65 @@ namespace fairclique {
 
 namespace {
 
+// Calls fn(e, sup_a, sup_b) once for every edge e with its colorful supports
+// (Definition 6), storing nothing per triangle. For every vertex v, tag v's
+// neighbors with their (color, attribute) keys, then scan the key-ordered
+// row of each lower-(degree, id) neighbor u: the tagged entries are the
+// common neighbors of (u, v) in key order, so each key change among them is
+// one more distinct key. O(alpha * E): each edge scans the row of its lower-
+// ranked endpoint once. Scratch: 4 B per adjacency entry for the rows and
+// 4 B per vertex for the tags, freed on return.
+template <typename Fn>
+void ForEachColorfulSupport(const AttributedGraph& g, const Coloring& coloring,
+                            Fn&& fn) {
+  constexpr uint32_t kUntagged = ~uint32_t{0};
+  const VertexId n = g.num_vertices();
+  const std::vector<VertexId> by_key = KeyOrderedNeighbors(g, coloring);
+  std::span<const uint64_t> rows = g.csr_offsets();
+  std::vector<uint32_t> tag(n, kUntagged);
+  for (VertexId v = 0; v < n; ++v) {
+    const auto nbrs = g.neighbors(v);
+    const auto eids = g.edge_ids(v);
+    bool tagged = false;
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId u = nbrs[i];
+      if (!RanksBelow(g, u, v)) continue;
+      if (!tagged) {
+        for (VertexId w : nbrs) {
+          tag[w] = ColorAttrKey(coloring.color[w], g.attribute(w));
+        }
+        tagged = true;
+      }
+      // Branch-free: an untagged entry repeats the last key, which counts
+      // nothing.
+      std::array<int32_t, 2> sup = {0, 0};
+      uint32_t last = kUntagged;
+      // fclint: hot-path-begin(support_screen)
+      for (uint64_t j = rows[u]; j < rows[u + 1]; ++j) {
+        const uint32_t t = tag[by_key[j]];
+        const uint32_t key = t == kUntagged ? last : t;
+        sup[key & 1] += key != last;
+        last = key;
+      }
+      // fclint: hot-path-end
+      fn(eids[i], sup[0], sup[1]);
+    }
+    if (tagged) {
+      for (VertexId w : nbrs) tag[w] = kUntagged;
+    }
+  }
+}
+
+// Lemma 3: true when an edge with these supports cannot be in a relative
+// fair clique of size parameter k.
+bool ViolatesColorfulSup(const AttributedGraph& g, EdgeId e, int k,
+                         int64_t sup_a, int64_t sup_b) {
+  const Edge& edge = g.edges()[e];
+  int64_t ta, tb;
+  SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
+  return sup_a < ta || sup_b < tb;
+}
+
 // Per-edge triangle slots. Slot i of edge (u,v) holds one common neighbor w
 // of u and v. An edge's slots are sorted by w's (color, attribute) key, and
 // the first slot of each run of equal keys holds the run's live count (the
@@ -193,30 +252,14 @@ EdgeReductionResult PeelEdges(const AttributedGraph& g,
   return result;
 }
 
-}  // namespace
-
-std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
-                                                const Coloring& coloring) {
-  const std::vector<std::array<int32_t, 2>> runs =
-      TriangleSlotTable(g, coloring).Supports();
-  std::vector<AttrCounts> sup(runs.size());
-  for (EdgeId e = 0; e < sup.size(); ++e) {
-    sup[e].counts[0] = runs[e][0];
-    sup[e].counts[1] = runs[e][1];
-  }
-  return sup;
-}
-
-EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
-                                         const Coloring& coloring, int k) {
+// The ColorfulSup peel over every edge of g from its triangle-slot table.
+EdgeReductionResult PeelColorfulSup(const AttributedGraph& g,
+                                    const Coloring& coloring, int k) {
   TriangleSlotTable table(g, coloring);
   std::vector<std::array<int32_t, 2>> sup = table.Supports();
 
   auto violates = [&](EdgeId e) {
-    const Edge& edge = g.edges()[e];
-    int64_t ta, tb;
-    SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
-    return sup[e][0] < ta || sup[e][1] < tb;
+    return ViolatesColorfulSup(g, e, k, sup[e][0], sup[e][1]);
   };
   // Losing common neighbor w decrements its (color, attribute) run in
   // M_e; the support drops only when that run's count hits zero.
@@ -231,6 +274,70 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
     return false;
   };
   return PeelEdges(g, table, violates, on_loss);
+}
+
+}  // namespace
+
+std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
+                                                const Coloring& coloring) {
+  std::vector<AttrCounts> sup(g.num_edges());
+  ForEachColorfulSupport(g, coloring,
+                         [&sup](EdgeId e, int32_t sup_a, int32_t sup_b) {
+                           sup[e].counts[0] = sup_a;
+                           sup[e].counts[1] = sup_b;
+                         });
+  return sup;
+}
+
+EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
+                                         const Coloring& coloring, int k) {
+  const EdgeId m = g.num_edges();
+  // Screen: drop every edge that already violates Lemma 3 on g. Removing
+  // edges never raises a support, so these edges are outside the fixpoint,
+  // and peeling the rest reaches the same fixpoint. When the screen drops
+  // nothing, nothing violates and g is its own fixpoint.
+  EdgeReductionResult result;
+  result.edge_alive.assign(m, 0);
+  EdgeId passed = 0;
+  ForEachColorfulSupport(
+      g, coloring, [&](EdgeId e, int32_t sup_a, int32_t sup_b) {
+        result.edge_alive[e] = !ViolatesColorfulSup(g, e, k, sup_a, sup_b);
+        passed += result.edge_alive[e];
+      });
+  result.vertex_alive.assign(g.num_vertices(), 0);
+  for (EdgeId e = 0; e < m; ++e) {
+    if (result.edge_alive[e]) {
+      result.vertex_alive[g.edges()[e].u] = 1;
+      result.vertex_alive[g.edges()[e].v] = 1;
+    }
+  }
+  if (0 < passed && passed < m) {
+    // Peel the survivors only, under the same coloring.
+    std::vector<VertexId> ids;
+    const AttributedGraph sub =
+        g.FilteredSubgraph(result.vertex_alive, result.edge_alive, &ids);
+    FC_CHECK(sub.num_edges() == passed) << "screen survivors lost an edge";
+    Coloring sub_coloring;
+    sub_coloring.num_colors = coloring.num_colors;
+    sub_coloring.color.resize(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      sub_coloring.color[i] = coloring.color[ids[i]];
+    }
+    const EdgeReductionResult peeled = PeelColorfulSup(sub, sub_coloring, k);
+    // FilteredSubgraph keeps the passed edges in g's edge order.
+    EdgeId j = 0;
+    for (EdgeId e = 0; e < m; ++e) {
+      if (result.edge_alive[e]) result.edge_alive[e] = peeled.edge_alive[j++];
+    }
+    for (size_t i = 0; i < ids.size(); ++i) {
+      result.vertex_alive[ids[i]] = peeled.vertex_alive[i];
+    }
+  }
+  result.edges_left = static_cast<EdgeId>(
+      std::count(result.edge_alive.begin(), result.edge_alive.end(), 1));
+  result.vertices_left = static_cast<VertexId>(
+      std::count(result.vertex_alive.begin(), result.vertex_alive.end(), 1));
+  return result;
 }
 
 AttrCounts GreedyEnhancedSupport(int64_t ca, int64_t cb, int64_t cm,

@@ -21,8 +21,8 @@ struct EdgeReductionResult {
 
 /// Colorful support of every edge (Definition 6): sup_ai(u,v) = number of
 /// distinct colors among common neighbors of u and v having attribute ai.
-/// Exposed for tests and diagnostics; built from the same triangle-slot
-/// table as the reductions below.
+/// Exposed for tests and diagnostics; computed by the same screen that
+/// ColorfulSupReduction runs first.
 std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
                                                 const Coloring& coloring);
 
@@ -47,6 +47,14 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 /// (edge, triangle) slot plus 8 B per edge, next to O(E) flags and per-edge
 /// support counts. The key-ordered rows (4 B per adjacency entry) live only
 /// while the table is filled.
+///
+/// ColorfulSup first screens every edge: the same row scan, counting the
+/// distinct keys among the common neighbors instead of storing them, in
+/// O(sum over edges of the lower-ranked endpoint's degree) = O(alpha * E)
+/// time with no per-triangle state. Edges already violating the thresholds
+/// are dropped in bulk (no support rises when edges go, so none of them is
+/// in the fixpoint), and the slot table and peel cover only the survivor
+/// subgraph, under the same coloring.
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k);
 

@@ -34,15 +34,13 @@ Status WriteAll(int fd, const std::string& bytes, const std::string& path) {
 }  // namespace
 
 void SyncParentDir(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  std::string dir;
-  if (slash == std::string::npos) {
-    dir = ".";
-  } else if (slash == 0) {
-    dir = "/";
-  } else {
-    dir = path.substr(0, slash);
-  }
+  const size_t slash = path.find_last_of('/');
+  // Constructed in one expression: assigning path.substr() into a live
+  // string trips GCC 12's -Wrestrict false positive at -O3.
+  const std::string dir =
+      slash == std::string::npos ? std::string(".")
+      : slash == 0               ? std::string("/")
+                                 : std::string(path, 0, slash);
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd >= 0) {
     ::fsync(fd);

@@ -175,6 +175,32 @@ TEST(EnColorfulCoreTest, FairCliquesSurvive) {
   }
 }
 
+// Drives EnColorfulCore's mixed -> single-attribute reclassification while
+// the colour's other side is still live. Vertex 0 sees colour 0 on one side
+// (vertex 1) and colour 1 on both sides (vertices 2 and 4). Pendant vertex 4
+// dies first; colour 1 must then move from mixed to vertex 2's side, leaving
+// vertex 0 with one colour per attribute (ED = 1). Dropping colour 1
+// altogether instead would leave ED = 0 and cascade through the whole
+// graph. Run with the attributes as given and flipped, so both the a-side
+// (other key after it) and the b-side (other key before it) are checked.
+TEST(EnColorfulCoreTest, MixedColourKeepsItsLiveSide) {
+  //   0 - 1, 0 - 2, 1 - 2, 2 - 3, 1 - 3, 0 - 4
+  const std::vector<std::pair<int, int>> edges = {
+      {0, 1}, {0, 2}, {1, 2}, {2, 3}, {1, 3}, {0, 4}};
+  Coloring c;
+  c.color = {2, 0, 1, 2, 1};
+  c.num_colors = 3;
+  for (const char* attrs : {"aabba", "bbaab"}) {
+    AttributedGraph g = MakeGraph(attrs, edges);
+    ASSERT_TRUE(IsProperColoring(g, c));
+    VertexReductionResult r = EnColorfulCore(g, c, 1);
+    EXPECT_EQ(r.alive, (std::vector<uint8_t>{1, 1, 1, 1, 0})) << attrs;
+    EXPECT_EQ(r.alive, BruteEnColorfulCore(g, c, 1)) << attrs;
+    EXPECT_EQ(r.vertices_left, 4u) << attrs;
+    EXPECT_EQ(r.edges_left, 5u) << attrs;
+  }
+}
+
 TEST(ColorfulCoreDecompositionTest, CcoreConsistentWithThresholdCores) {
   for (uint64_t seed : {41u, 42u}) {
     AttributedGraph g = RandomAttributedGraph(50, 0.2, seed);

@@ -322,6 +322,168 @@ TEST(ColorfulSupReductionTest, ReachesExactFixpoint) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// ColorfulSupReduction first screens out every edge that violates Lemma 3 on
+// its input, then peels the survivor subgraph. These cases pin down each
+// branch of that split against the merge-intersection reference and the
+// brute-force fixpoint.
+
+// Round in which the level-synchronous peel removes each edge: 1 for the
+// edges the screen drops, r for the edges that violate only once rounds
+// 1..r-1 are gone, 0 for the fixpoint's survivors.
+std::vector<int> PeelRounds(const AttributedGraph& g, const Coloring& c,
+                            int k) {
+  std::vector<int> round(g.num_edges(), 0);
+  for (int r = 1;; ++r) {
+    std::vector<EdgeId> dying;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (round[e] != 0) continue;
+      const Edge& edge = g.edges()[e];
+      std::set<ColorId> ca, cb;
+      for (VertexId w = 0; w < g.num_vertices(); ++w) {
+        const EdgeId e1 = g.FindEdge(edge.u, w);
+        const EdgeId e2 = g.FindEdge(edge.v, w);
+        if (e1 == kInvalidEdge || e2 == kInvalidEdge) continue;
+        if (round[e1] != 0 || round[e2] != 0) continue;
+        (g.attribute(w) == Attribute::kA ? ca : cb).insert(c.color[w]);
+      }
+      int64_t ta, tb;
+      SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
+      if (static_cast<int64_t>(ca.size()) < ta ||
+          static_cast<int64_t>(cb.size()) < tb) {
+        dying.push_back(e);
+      }
+    }
+    if (dying.empty()) return round;
+    for (EdgeId e : dying) round[e] = r;
+  }
+}
+
+// ColorfulSupReduction's edge flags match both references, and its vertex
+// flags and counts match its edge flags.
+void ExpectExactColorfulSup(const AttributedGraph& g, const Coloring& c,
+                            int k, const std::string& label) {
+  const EdgeReductionResult r = ColorfulSupReduction(g, c, k);
+  EXPECT_EQ(r.edge_alive, BruteColorfulSupFixpoint(g, c, k)) << label;
+  EXPECT_EQ(r.edge_alive, reference::ColorfulSup(g, c, k)) << label;
+  std::vector<uint8_t> vertex_alive(g.num_vertices(), 0);
+  EdgeId edges_left = 0;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (!r.edge_alive[e]) continue;
+    ++edges_left;
+    vertex_alive[g.edges()[e].u] = 1;
+    vertex_alive[g.edges()[e].v] = 1;
+  }
+  EXPECT_EQ(r.vertex_alive, vertex_alive) << label;
+  EXPECT_EQ(r.edges_left, edges_left) << label;
+  EXPECT_EQ(r.vertices_left,
+            static_cast<VertexId>(
+                std::count(vertex_alive.begin(), vertex_alive.end(), 1)))
+      << label;
+}
+
+// K6 with three vertices per attribute under six distinct colors: an a-a
+// edge sees 1 a-color and 3 b-colors, a mixed edge 2 of each.
+AttributedGraph BalancedK6() {
+  std::vector<std::pair<int, int>> edges;
+  for (int u = 0; u < 6; ++u) {
+    for (int v = u + 1; v < 6; ++v) edges.push_back({u, v});
+  }
+  return MakeGraph("aaabbb", edges);
+}
+
+TEST(ColorfulSupScreenTest, ScreenRemovesNothing) {
+  const AttributedGraph g = BalancedK6();
+  const Coloring c = GreedyColoring(g);
+  const std::vector<int> rounds = PeelRounds(g, c, 3);
+  ASSERT_TRUE(std::all_of(rounds.begin(), rounds.end(),
+                          [](int r) { return r == 0; }));
+  ExpectExactColorfulSup(g, c, 3, "K6 k=3");
+}
+
+TEST(ColorfulSupScreenTest, ScreenRemovesEverything) {
+  // k=4 asks an a-a edge of K6 for 2 a-colors; a path has no triangles.
+  const AttributedGraph path =
+      MakeGraph("abab", {{0, 1}, {1, 2}, {2, 3}});
+  for (const auto& [g, k] :
+       {std::pair{BalancedK6(), 4}, std::pair{path, 2}}) {
+    const Coloring c = GreedyColoring(g);
+    const std::vector<int> rounds = PeelRounds(g, c, k);
+    ASSERT_TRUE(std::all_of(rounds.begin(), rounds.end(),
+                            [](int r) { return r == 1; }));
+    ExpectExactColorfulSup(g, c, k, "k=" + std::to_string(k));
+  }
+}
+
+TEST(ColorfulSupScreenTest, ChainReactionAfterTheScreen) {
+  // Random graphs on which edges that pass the screen die in the peel, some
+  // only after other screen survivors died (round >= 3), some of them with
+  // a non-empty fixpoint.
+  int chained = 0;
+  int chained_with_survivors = 0;
+  for (uint64_t seed : {4u, 5u, 6u, 7u, 40u, 41u}) {
+    const AttributedGraph g = RandomAttributedGraph(30, 0.5, seed);
+    const Coloring c = GreedyColoring(g);
+    for (int k = 2; k <= 4; ++k) {
+      const std::vector<int> rounds = PeelRounds(g, c, k);
+      if (*std::max_element(rounds.begin(), rounds.end()) >= 3) {
+        ++chained;
+        chained_with_survivors += std::count(rounds.begin(), rounds.end(), 0) > 0;
+      }
+      ExpectExactColorfulSup(
+          g, c, k, "seed=" + std::to_string(seed) + " k=" + std::to_string(k));
+    }
+  }
+  EXPECT_GE(chained, 10) << "too few graphs exercise the peel after the screen";
+  EXPECT_GE(chained_with_survivors, 4);
+}
+
+TEST(ColorfulSupScreenTest, EdgeIdsMapBackThroughRenumbering) {
+  // Spread a random graph over 3x the vertex ids: isolated vertices between
+  // the originals, and pendant vertices whose edges the screen always drops
+  // (no triangles). The screen's survivor subgraph renumbers vertices and
+  // edges; its flags must land on the right edges of the spread graph.
+  int with_survivors = 0;
+  for (uint64_t seed : {4u, 6u, 40u}) {
+    const AttributedGraph g = RandomAttributedGraph(30, 0.5, seed);
+    const VertexId n = g.num_vertices();
+    GraphBuilder builder(3 * n);
+    for (VertexId v = 0; v < n; ++v) {
+      builder.SetAttribute(3 * v + 1, g.attribute(v));
+      builder.SetAttribute(3 * v + 2, Other(g.attribute(v)));
+      if (v % 2 == 0) builder.AddEdge(3 * v + 1, 3 * v + 2);  // pendant
+    }
+    for (const Edge& e : g.edges()) builder.AddEdge(3 * e.u + 1, 3 * e.v + 1);
+    const AttributedGraph spread = builder.Build();
+    const Coloring sc = GreedyColoring(spread);
+    Coloring c;
+    c.num_colors = sc.num_colors;
+    for (VertexId v = 0; v < n; ++v) c.color.push_back(sc.color[3 * v + 1]);
+    for (int k = 2; k <= 4; ++k) {
+      const std::string label =
+          "seed=" + std::to_string(seed) + " k=" + std::to_string(k);
+      ExpectExactColorfulSup(spread, sc, k, label);
+      const EdgeReductionResult compact = ColorfulSupReduction(g, c, k);
+      const EdgeReductionResult wide = ColorfulSupReduction(spread, sc, k);
+      EXPECT_EQ(wide.edges_left, compact.edges_left) << label;
+      with_survivors += wide.edges_left > 0;
+      EXPECT_EQ(wide.vertices_left, compact.vertices_left) << label;
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        const EdgeId se =
+            spread.FindEdge(3 * g.edges()[e].u + 1, 3 * g.edges()[e].v + 1);
+        EXPECT_EQ(wide.edge_alive[se], compact.edge_alive[e]) << label;
+      }
+      for (VertexId v = 0; v < n; ++v) {
+        EXPECT_EQ(wide.vertex_alive[3 * v + 1], compact.vertex_alive[v])
+            << label;
+        EXPECT_FALSE(wide.vertex_alive[3 * v]) << label;
+        EXPECT_FALSE(wide.vertex_alive[3 * v + 2]) << label;
+      }
+    }
+  }
+  EXPECT_GE(with_survivors, 6);
+}
+
 TEST(EnColorfulSupReductionTest, ReachesExactFixpoint) {
   for (uint64_t seed : {8u, 9u, 10u, 11u}) {
     AttributedGraph g = RandomAttributedGraph(35, 0.3, seed);

@@ -52,6 +52,7 @@ REQUIRED_REGIONS = {
     "hot-path:reduction_peel": "the colorful-support peel's triangle loop",
     "hot-path:csr_build": "GraphBuilder::Build's CSR fill",
     "hot-path:colour_core_peel": "the ColorfulCore/EnColorfulCore peel loop",
+    "hot-path:support_screen": "the ColorfulSup screen's row scan",
 }
 
 RAW_PRIMITIVES = re.compile(
