@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "common/logging.h"
 #include "core/heuristics.h"
 #include "core/max_fair_clique.h"
+#include "core/prepared_graph.h"
 #include "graph/coloring.h"
 #include "graph/cores.h"
 #include "graph/generators.h"
@@ -23,6 +25,7 @@
 #include "reduction/colorful_core.h"
 #include "reduction/colorful_support.h"
 #include "reduction/support_decomposition.h"
+#include "service/query_executor.h"
 
 namespace fairclique {
 namespace {
@@ -156,6 +159,34 @@ void BM_ColorfulSupReductionPokecCore(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
 BENCHMARK(BM_ColorfulSupReductionPokecCore)->ArgName("k")->Arg(3)->Arg(6);
+
+// PrepareGraph, the whole cold reduction plus decomposition, on dblp-s x4 at
+// k=4 (pokec=0) and pokec-s x4 at k=6 (pokec=1). width=1 runs inline, as
+// library callers do; width=4 runs the data-parallel kernels on the pool of
+// a 4-worker QueryExecutor, as the service does.
+void BM_PrepareGraph(benchmark::State& state) {
+  const bool pokec = state.range(0) != 0;
+  const int width = static_cast<int>(state.range(1));
+  const AttributedGraph g = LoadDataset(pokec ? "pokec-s" : "dblp-s", 4.0);
+  const int k = pokec ? 6 : 4;
+  std::unique_ptr<QueryExecutor> pool;
+  if (width > 1) {
+    pool = std::make_unique<QueryExecutor>(ExecutorOptions{width, 0});
+  }
+  TaskRunner* runner = pool != nullptr ? pool->runner() : nullptr;
+  for (auto _ : state) {
+    std::shared_ptr<const PreparedGraph> plan =
+        PrepareGraph(g, k, ReductionOptions{}, runner);
+    benchmark::DoNotOptimize(plan->reduced.num_edges());
+  }
+}
+BENCHMARK(BM_PrepareGraph)
+    ->ArgNames({"pokec", "width"})
+    ->Args({0, 1})
+    ->Args({0, 4})
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EnColorfulSupReduction(benchmark::State& state) {
   AttributedGraph g = MakeBenchGraph(state.range(0), 12.0);

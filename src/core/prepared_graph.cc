@@ -581,7 +581,8 @@ const char* SearchEngineName(SearchEngine engine) {
 }
 
 std::shared_ptr<const PreparedGraph> PrepareGraph(
-    const AttributedGraph& g, int k, const ReductionOptions& reductions) {
+    const AttributedGraph& g, int k, const ReductionOptions& reductions,
+    TaskRunner* runner) {
   FC_CHECK(k >= 1) << "fairness parameter k must be >= 1";
   obs::ProfileScope profile_scope("PrepareGraph");
   WallTimer timer;
@@ -591,7 +592,8 @@ std::shared_ptr<const PreparedGraph> PrepareGraph(
   prepared->source_vertices = g.num_vertices();
   prepared->source_edges = g.num_edges();
 
-  ReductionPipelineResult reduced = ReduceForFairClique(g, k, reductions);
+  ReductionPipelineResult reduced =
+      ReduceForFairClique(g, k, reductions, runner);
   prepared->reduced = std::move(reduced.reduced);
   prepared->original_ids = std::move(reduced.original_ids);
   prepared->stages = std::move(reduced.stages);
@@ -737,36 +739,26 @@ SearchResult SearchPreparedGraph(
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
     if (num_threads <= 0) num_threads = 1;
   }
-  // Never spawn more workers than there are component tasks: with
-  // num_threads <= 0 (hardware concurrency) on a small or well-reduced
-  // graph, most threads would start only to find the task list empty.
-  num_threads = std::min<int>(
-      num_threads,
-      static_cast<int>(std::max<size_t>(prepared.components.size(), 1)));
-  if (num_threads == 1 || prepared.components.size() <= 1) {
-    for (size_t i = 0; i < prepared.components.size(); ++i) {
-      results[i] = BranchComponent(prepared, i, options, deadline, &floor);
-      if (options.progress != nullptr) options.progress->NoteComponentDone();
-      if (results[i].aborted) break;
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(num_threads));
-    for (int t = 0; t < num_threads; ++t) {
-      workers.emplace_back([&]() {
-        while (true) {
-          size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= results.size()) return;
-          results[i] = BranchComponent(prepared, i, options, deadline, &floor);
-          if (options.progress != nullptr) {
-            options.progress->NoteComponentDone();
-          }
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-  }
+  // One component per chunk; the caller branches too, so the call starts
+  // num_threads - 1 threads, and never more than there are components.
+  // Once a component aborts (a safety valve fired), the components not yet
+  // started are skipped.
+  ThreadRunner runner(num_threads);
+  std::atomic<bool> aborted{false};
+  ParallelFor(&runner, prepared.components.size(), 1,
+              [&](int, size_t first, size_t last) {
+                for (size_t i = first; i < last; ++i) {
+                  if (aborted.load(std::memory_order_relaxed)) return;
+                  results[i] =
+                      BranchComponent(prepared, i, options, deadline, &floor);
+                  if (options.progress != nullptr) {
+                    options.progress->NoteComponentDone();
+                  }
+                  if (results[i].aborted) {
+                    aborted.store(true, std::memory_order_relaxed);
+                  }
+                }
+              });
 
   SearchResult result = AggregatePreparedSearch(prepared, seed, results);
   result.stats.search_micros = search_timer.ElapsedMicros();

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/timer.h"
 #include "core/max_fair_clique.h"
 #include "graph/graph.h"
@@ -91,9 +92,12 @@ struct PreparedGraph {
 
 /// Stage 1+2: runs the reduction pipeline and decomposes the survivor into
 /// prepared components. Everything delta-dependent is deferred to the
-/// Branch stage.
+/// Branch stage. The reduction's data-parallel kernels run on `runner`
+/// (common/parallel_for.h), inline when it is null; the plan is the same
+/// either way.
 std::shared_ptr<const PreparedGraph> PrepareGraph(
-    const AttributedGraph& g, int k, const ReductionOptions& reductions);
+    const AttributedGraph& g, int k, const ReductionOptions& reductions,
+    TaskRunner* runner = nullptr);
 
 /// Delta-dependent incumbent seeding (the old stages 2/2b): optional
 /// HeurRFC on the reduced graph plus an optional caller-supplied warm

@@ -81,7 +81,8 @@ bool IsProperColoring(const AttributedGraph& g, const Coloring& coloring) {
 }
 
 std::vector<VertexId> KeyOrderedNeighbors(const AttributedGraph& g,
-                                          const Coloring& coloring) {
+                                          const Coloring& coloring,
+                                          TaskRunner* runner) {
   const VertexId n = g.num_vertices();
   FC_CHECK(coloring.color.size() == n) << "coloring does not match graph";
   if (n == 0) return {};
@@ -98,9 +99,32 @@ std::vector<VertexId> KeyOrderedNeighbors(const AttributedGraph& g,
   std::span<const uint64_t> offsets = g.csr_offsets();
   std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
   std::vector<VertexId> rows(offsets.back());
-  for (VertexId w : by_key) {
-    for (VertexId x : g.neighbors(w)) rows[cursor[x]++] = w;
-  }
+  // Block b owns the rows starting in the b-th equal share of the adjacency
+  // array. Scanning every vertex w in key order, it writes w into its own
+  // rows only: w's neighbors in the block's vertex range are one stretch of
+  // w's id-sorted row.
+  const size_t blocks = static_cast<size_t>(ParallelWidth(runner));
+  auto first_row = [&](size_t b) -> VertexId {
+    if (b == 0) return 0;
+    if (b == blocks) return n;
+    const uint64_t share = offsets.back() * b / blocks;
+    return static_cast<VertexId>(
+        std::lower_bound(offsets.begin(), offsets.end() - 1, share) -
+        offsets.begin());
+  };
+  ParallelFor(runner, blocks, 1, [&](int, size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      const VertexId lo = first_row(b);
+      const VertexId hi = first_row(b + 1);
+      if (lo == hi) continue;
+      for (VertexId w : by_key) {
+        const auto nbrs = g.neighbors(w);
+        auto it = lo == 0 ? nbrs.begin()
+                          : std::lower_bound(nbrs.begin(), nbrs.end(), lo);
+        for (; it != nbrs.end() && *it < hi; ++it) rows[cursor[*it]++] = w;
+      }
+    }
+  });
   return rows;
 }
 

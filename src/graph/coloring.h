@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
@@ -39,9 +40,13 @@ inline uint32_t ColorAttrKey(ColorId color, Attribute attr) {
 /// slice [csr_offsets()[v], csr_offsets()[v+1]). A counting sort of the
 /// vertices by key, then one scatter of each vertex into its neighbors'
 /// rows, so rows fill in key order without a comparison sort:
-/// O(V + E + num_colors) time, 4 B per adjacency entry.
+/// O(V + E + num_colors) time, 4 B per adjacency entry. On a runner of
+/// width W the scatter runs as W blocks of rows, cut at equal shares of the
+/// adjacency array; each block writes only its own rows and pays one binary
+/// search per vertex to find them, O(V log deg) extra per block.
 std::vector<VertexId> KeyOrderedNeighbors(const AttributedGraph& g,
-                                          const Coloring& coloring);
+                                          const Coloring& coloring,
+                                          TaskRunner* runner = nullptr);
 
 /// Greedy proper coloring: visit vertices in the chosen order, assign the
 /// smallest color absent from already-colored neighbors. Guarantees

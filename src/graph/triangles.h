@@ -69,13 +69,17 @@ DegreeOrientation OrientByDegree(const AttributedGraph& g);
 /// "Compact-forward" listing (Latapy 2008): for each u, mark its
 /// out-neighbors with their arc's edge id, then scan the out-rows of those
 /// out-neighbors for marks. O(alpha * E) time, 4 B per vertex of scratch.
+///
+/// This overload lists only the triangles whose lowest-ranked vertex u is
+/// in [first, last), so chunks of a ParallelFor over [0, V) list every
+/// triangle once between them. `mark` is caller-owned scratch of V entries,
+/// all kInvalidEdge on entry and again on return.
 template <typename Fn>
-void ForEachTriangle(const DegreeOrientation& orient, Fn&& fn) {
-  const VertexId n = static_cast<VertexId>(orient.offsets.size() - 1);
+void ForEachTriangle(const DegreeOrientation& orient, VertexId first,
+                     VertexId last, EdgeId* mark, Fn&& fn) {
   // mark[w] = id of the edge {u, w} while w is an out-neighbor of the
   // current u; kInvalidEdge otherwise.
-  std::vector<EdgeId> mark(n, kInvalidEdge);
-  for (VertexId u = 0; u < n; ++u) {
+  for (VertexId u = first; u < last; ++u) {
     const auto out_u = orient.out(u);
     if (out_u.size() < 2) continue;
     for (const auto& arc : out_u) mark[arc.head] = arc.edge;
@@ -89,6 +93,14 @@ void ForEachTriangle(const DegreeOrientation& orient, Fn&& fn) {
     }
     for (const auto& arc : out_u) mark[arc.head] = kInvalidEdge;
   }
+}
+
+/// Every triangle of the graph `orient` was built from.
+template <typename Fn>
+void ForEachTriangle(const DegreeOrientation& orient, Fn&& fn) {
+  const VertexId n = static_cast<VertexId>(orient.offsets.size() - 1);
+  std::vector<EdgeId> mark(n, kInvalidEdge);
+  ForEachTriangle(orient, 0, n, mark.data(), fn);
 }
 
 /// Same, orienting `g` first: 8 B per edge plus 8 B per vertex of scratch.

@@ -9,47 +9,60 @@ namespace fairclique {
 
 namespace {
 
-// Per-vertex multiset of neighbor (attribute, color) pairs, stored as a
-// sorted flat array keyed by ColorAttrKey with a count per key. Lookup is
-// binary search; the whole structure is built once in O(V + E + colors).
+// Vertices per claimed chunk of a per-vertex loop: small, because the
+// stand-in graphs put their hubs at low ids.
+constexpr size_t kVertexGrain = 8;
+
+// Per-vertex multiset of neighbor (attribute, color) pairs: vertex v's
+// distinct ColorAttrKeys, ascending, each with a count, in the slice
+// [begin(v), end(v)) of two flat arrays, at the start of v's CSR row.
+// Lookup is binary search; the whole structure is built once in
+// O(V + E + colors).
 struct ColorCountTable {
-  std::vector<uint32_t> keys;    // concatenated per-vertex sorted key arrays
+  std::vector<uint32_t> keys;    // v's sorted keys at the start of row v
   std::vector<uint32_t> counts;  // parallel to keys
-  std::vector<uint64_t> offsets; // size V+1
+  std::span<const uint64_t> rows;  // the graph's CSR offsets, size V+1
+  std::vector<uint64_t> ends;      // size V
+
+  uint64_t begin(VertexId v) const { return rows[v]; }
+  uint64_t end(VertexId v) const { return ends[v]; }
 
   // Index of `key` within vertex v's slice; FC_CHECKs that it exists.
   size_t Find(VertexId v, uint32_t key) const {
-    const uint32_t* begin = keys.data() + offsets[v];
-    const uint32_t* end = keys.data() + offsets[v + 1];
-    const uint32_t* it = std::lower_bound(begin, end, key);
-    FC_CHECK(it != end && *it == key) << "color count key missing";
+    const uint32_t* first = keys.data() + begin(v);
+    const uint32_t* last = keys.data() + end(v);
+    const uint32_t* it = std::lower_bound(first, last, key);
+    FC_CHECK(it != last && *it == key) << "color count key missing";
     return static_cast<size_t>(it - keys.data());
   }
 
-  void Build(const AttributedGraph& g, const Coloring& coloring) {
-    const VertexId n = g.num_vertices();
-    offsets.assign(n + 1, 0);
+  void Build(const AttributedGraph& g, const Coloring& coloring,
+             TaskRunner* runner) {
+    rows = g.csr_offsets();
+    ends.resize(g.num_vertices());
     // Rows of KeyOrderedNeighbors hold equal keys together, so each row
-    // run-length encodes into (key, count) pairs in place, left to right.
-    keys = KeyOrderedNeighbors(g, coloring);
+    // run-length encodes into (key, count) pairs in place, left to right,
+    // independently of every other row.
+    keys = KeyOrderedNeighbors(g, coloring, runner);
     counts.resize(keys.size());
-    size_t out = 0;
-    std::span<const uint64_t> row_offsets = g.csr_offsets();
-    for (VertexId v = 0; v < n; ++v) {
-      for (uint64_t i = row_offsets[v]; i < row_offsets[v + 1]; ++i) {
-        const VertexId w = keys[i];
-        const uint32_t key = ColorAttrKey(coloring.color[w], g.attribute(w));
-        if (out > offsets[v] && keys[out - 1] == key) {
-          ++counts[out - 1];
-        } else {
-          keys[out] = key;
-          counts[out++] = 1;
-        }
-      }
-      offsets[v + 1] = out;
-    }
-    keys.resize(out);
-    counts.resize(out);
+    ParallelFor(runner, g.num_vertices(), kVertexGrain,
+                [&](int, size_t first, size_t last) {
+                  for (size_t v = first; v < last; ++v) {
+                    uint64_t out = rows[v];
+                    for (uint64_t i = rows[v]; i < rows[v + 1]; ++i) {
+                      const VertexId w = keys[i];
+                      const uint32_t key =
+                          ColorAttrKey(coloring.color[w], g.attribute(w));
+                      if (out > rows[v] && keys[out - 1] == key) {
+                        ++counts[out - 1];
+                      } else {
+                        keys[out] = key;
+                        counts[out++] = 1;
+                      }
+                    }
+                    ends[v] = out;
+                  }
+                });
   }
 };
 
@@ -68,11 +81,11 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
   }
 
   ColorCountTable table;
-  table.Build(g, coloring);
+  table.Build(g, coloring, nullptr);
   // Distinct-color degree per attribute.
   std::vector<AttrCounts> d(n);
   for (VertexId v = 0; v < n; ++v) {
-    for (uint64_t i = table.offsets[v]; i < table.offsets[v + 1]; ++i) {
+    for (uint64_t i = table.begin(v); i < table.end(v); ++i) {
       Attribute attr = static_cast<Attribute>(table.keys[i] & 1);
       d[v][attr]++;
     }
@@ -114,7 +127,8 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
 }
 
 VertexReductionResult EnColorfulCore(const AttributedGraph& g,
-                                     const Coloring& coloring, int k) {
+                                     const Coloring& coloring, int k,
+                                     TaskRunner* runner) {
   const VertexId n = g.num_vertices();
   VertexReductionResult result;
   result.alive.assign(n, 1);
@@ -125,30 +139,33 @@ VertexReductionResult EnColorfulCore(const AttributedGraph& g,
   }
 
   ColorCountTable table;
-  table.Build(g, coloring);
+  table.Build(g, coloring, runner);
   // Per-vertex color-class sizes: ca (a-only colors), cb (b-only), cm (mixed).
   struct Classes {
     int64_t ca = 0, cb = 0, cm = 0;
     int64_t Ed() const { return BalancedAssignMin(ca, cb, cm); }
   };
   std::vector<Classes> cls(n);
-  for (VertexId v = 0; v < n; ++v) {
-    uint64_t i = table.offsets[v];
-    const uint64_t end = table.offsets[v + 1];
-    while (i < end) {
-      // Keys for the same color are adjacent: (c<<1|0) then (c<<1|1).
-      if (i + 1 < end && (table.keys[i] >> 1) == (table.keys[i + 1] >> 1)) {
-        cls[v].cm++;
-        i += 2;
-      } else if ((table.keys[i] & 1) == 0) {
-        cls[v].ca++;
-        i += 1;
-      } else {
-        cls[v].cb++;
-        i += 1;
+  ParallelFor(runner, n, kVertexGrain, [&](int, size_t first, size_t last) {
+    for (size_t v = first; v < last; ++v) {
+      uint64_t i = table.begin(v);
+      const uint64_t end = table.end(v);
+      while (i < end) {
+        // Keys for the same color are adjacent: (c<<1|0) then (c<<1|1).
+        if (i + 1 < end &&
+            (table.keys[i] >> 1) == (table.keys[i + 1] >> 1)) {
+          cls[v].cm++;
+          i += 2;
+        } else if ((table.keys[i] & 1) == 0) {
+          cls[v].ca++;
+          i += 1;
+        } else {
+          cls[v].cb++;
+          i += 1;
+        }
       }
     }
-  }
+  });
 
   std::vector<VertexId> queue;
   for (VertexId v = 0; v < n; ++v) {
@@ -174,11 +191,11 @@ VertexReductionResult EnColorfulCore(const AttributedGraph& g,
       // two keys sit next to each other in u's sorted slice.
       bool other_alive = false;
       if (attr == Attribute::kA) {
-        other_alive = idx + 1 < table.offsets[u + 1] &&
+        other_alive = idx + 1 < table.end(u) &&
                       table.keys[idx + 1] == other_key &&
                       table.counts[idx + 1] > 0;
       } else {
-        other_alive = idx > table.offsets[u] &&
+        other_alive = idx > table.begin(u) &&
                       table.keys[idx - 1] == other_key &&
                       table.counts[idx - 1] > 0;
       }
@@ -224,10 +241,10 @@ ColorfulCoreDecomposition ComputeColorfulCores(const AttributedGraph& g,
   if (n == 0) return result;
 
   ColorCountTable table;
-  table.Build(g, coloring);
+  table.Build(g, coloring, nullptr);
   std::vector<AttrCounts> d(n);
   for (VertexId v = 0; v < n; ++v) {
-    for (uint64_t i = table.offsets[v]; i < table.offsets[v + 1]; ++i) {
+    for (uint64_t i = table.begin(v); i < table.end(v); ++i) {
       Attribute attr = static_cast<Attribute>(table.keys[i] & 1);
       d[v][attr]++;
     }

@@ -28,7 +28,8 @@ struct VertexReductionResult {
 /// each vertex's distinct neighbor keys, built without sorting from the
 /// key-ordered rows of KeyOrderedNeighbors in O(V + E + colors), then one
 /// binary search per (removed vertex, live neighbor) pair. Space 8 B per
-/// distinct (vertex, key) pair, plus 4 B per adjacency entry while building.
+/// adjacency entry: each vertex's (key, count) pairs sit at the start of
+/// its own CSR row, so rows are encoded independently.
 VertexReductionResult ColorfulCore(const AttributedGraph& g,
                                    const Coloring& coloring, int k);
 
@@ -36,9 +37,11 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
 /// assigned exclusively to one attribute; a vertex survives while its
 /// enhanced colorful degree ED(u) = max_x min(ca+x, cb+cm-x) >= k (see
 /// EnhancedColorfulDegrees). By Lemma 2 fair cliques live in the enhanced
-/// colorful (k-1)-core.
+/// colorful (k-1)-core. The table build and the per-vertex class setup run
+/// on `runner` (inline when null); the peel is serial.
 VertexReductionResult EnColorfulCore(const AttributedGraph& g,
-                                     const Coloring& coloring, int k);
+                                     const Coloring& coloring, int k,
+                                     TaskRunner* runner = nullptr);
 
 /// Full colorful core decomposition: colorful core number ccore(v) =
 /// largest k such that v survives in the colorful k-core (Definition 8), the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <span>
 
 #include "common/logging.h"
@@ -11,53 +12,68 @@ namespace fairclique {
 
 namespace {
 
+// Vertices per claimed chunk of a per-vertex loop. Small, because a
+// vertex's work follows its degree and the stand-in graphs put their hubs at
+// low ids: claiming small chunks balances the load.
+constexpr size_t kVertexGrain = 8;
+// Edges per claimed chunk of a per-edge loop.
+constexpr size_t kEdgeGrain = 256;
+
 // Calls fn(e, sup_a, sup_b) once for every edge e with its colorful supports
 // (Definition 6), storing nothing per triangle. For every vertex v, tag v's
 // neighbors with their (color, attribute) keys, then scan the key-ordered
 // row of each lower-(degree, id) neighbor u: the tagged entries are the
 // common neighbors of (u, v) in key order, so each key change among them is
 // one more distinct key. O(alpha * E): each edge scans the row of its lower-
-// ranked endpoint once. Scratch: 4 B per adjacency entry for the rows and
-// 4 B per vertex for the tags, freed on return.
+// ranked endpoint once. The vertices v run in chunks on `runner`, so fn may
+// run concurrently, but never twice for one edge. Scratch: 4 B per adjacency
+// entry for the rows and 4 B per vertex per worker for the tags, freed on
+// return.
 template <typename Fn>
 void ForEachColorfulSupport(const AttributedGraph& g, const Coloring& coloring,
-                            Fn&& fn) {
+                            TaskRunner* runner, Fn&& fn) {
   constexpr uint32_t kUntagged = ~uint32_t{0};
   const VertexId n = g.num_vertices();
-  const std::vector<VertexId> by_key = KeyOrderedNeighbors(g, coloring);
+  const std::vector<VertexId> by_key = KeyOrderedNeighbors(g, coloring, runner);
   std::span<const uint64_t> rows = g.csr_offsets();
-  std::vector<uint32_t> tag(n, kUntagged);
-  for (VertexId v = 0; v < n; ++v) {
-    const auto nbrs = g.neighbors(v);
-    const auto eids = g.edge_ids(v);
-    bool tagged = false;
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId u = nbrs[i];
-      if (!RanksBelow(g, u, v)) continue;
-      if (!tagged) {
-        for (VertexId w : nbrs) {
-          tag[w] = ColorAttrKey(coloring.color[w], g.attribute(w));
+  // One tag array per worker, allocated here: the chunks allocate nothing.
+  std::vector<std::vector<uint32_t>> tags(
+      ParallelWidth(runner), std::vector<uint32_t>(n, kUntagged));
+  ParallelFor(runner, n, kVertexGrain, [&](int worker, size_t first,
+                                           size_t last_vertex) {
+    uint32_t* const tag = tags[worker].data();
+    for (VertexId v = first; v < last_vertex; ++v) {
+      const auto nbrs = g.neighbors(v);
+      const auto eids = g.edge_ids(v);
+      bool tagged = false;
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        const VertexId u = nbrs[i];
+        if (!RanksBelow(g, u, v)) continue;
+        if (!tagged) {
+          for (VertexId w : nbrs) {
+            tag[w] = ColorAttrKey(coloring.color[w], g.attribute(w));
+          }
+          tagged = true;
         }
-        tagged = true;
+        // Branch-free: an untagged entry repeats the last key, which counts
+        // nothing.
+        std::array<int32_t, 2> sup = {0, 0};
+        uint32_t last = kUntagged;
+        // fclint: hot-path-begin(support_screen)
+        for (uint64_t j = rows[u]; j < rows[u + 1]; ++j) {
+          const uint32_t t = tag[by_key[j]];
+          const uint32_t key = t == kUntagged ? last : t;
+          sup[key & 1] += key != last;
+          last = key;
+        }
+        // fclint: hot-path-end
+        fn(eids[i], sup[0], sup[1]);
       }
-      // Branch-free: an untagged entry repeats the last key, which counts
-      // nothing.
-      std::array<int32_t, 2> sup = {0, 0};
-      uint32_t last = kUntagged;
-      // fclint: hot-path-begin(support_screen)
-      for (uint64_t j = rows[u]; j < rows[u + 1]; ++j) {
-        const uint32_t t = tag[by_key[j]];
-        const uint32_t key = t == kUntagged ? last : t;
-        sup[key & 1] += key != last;
-        last = key;
+      if (tagged) {
+        for (VertexId w : nbrs) tag[w] = kUntagged;
       }
-      // fclint: hot-path-end
-      fn(eids[i], sup[0], sup[1]);
     }
-    if (tagged) {
-      for (VertexId w : nbrs) tag[w] = kUntagged;
-    }
-  }
+  });
 }
 
 // Lemma 3: true when an edge with these supports cannot be in a relative
@@ -76,7 +92,8 @@ bool ViolatesColorfulSup(const AttributedGraph& g, EdgeId e, int k,
 // others hold 0), so the runs are the multiset M_(u,v) of Algorithm 1. The
 // same slots are the triangle list PeelEdges tears down: a triangle's two
 // other sides are found with FindEdge instead of by re-intersecting
-// adjacency rows.
+// adjacency rows. The count pass, the fill pass and Supports() run in chunks
+// on a TaskRunner; each chunk writes only its own edges' slots and counts.
 class TriangleSlotTable {
  public:
   struct Slot {
@@ -84,68 +101,99 @@ class TriangleSlotTable {
     uint32_t count;  // live run size at a run head, 0 elsewhere
   };
 
-  TriangleSlotTable(const AttributedGraph& g, const Coloring& coloring) {
+  TriangleSlotTable(const AttributedGraph& g, const Coloring& coloring,
+                    TaskRunner* runner) {
     const VertexId n = g.num_vertices();
     const EdgeId m = g.num_edges();
+    const size_t width = static_cast<size_t>(ParallelWidth(runner));
     vertex_key_.resize(n);
     for (VertexId v = 0; v < n; ++v) {
       vertex_key_[v] = ColorAttrKey(coloring.color[v], g.attribute(v));
     }
     // Count pass: the degree-oriented listing sizes every edge's slot range
-    // exactly.
+    // exactly. Chunks list the triangles of different lowest-ranked
+    // vertices, which share edges, so their increments are atomic.
     offsets_.assign(m + 1, 0);
-    ForEachTriangle(g, [this](VertexId, VertexId, VertexId, EdgeId euv,
-                              EdgeId euw, EdgeId evw) {
-      ++offsets_[euv + 1];
-      ++offsets_[euw + 1];
-      ++offsets_[evw + 1];
-    });
+    {
+      const DegreeOrientation orient = OrientByDegree(g);
+      std::vector<std::vector<EdgeId>> marks(
+          width, std::vector<EdgeId>(n, kInvalidEdge));
+      const bool shared = width > 1;
+      auto count = [this, shared](EdgeId e) {
+        if (shared) {
+          std::atomic_ref<uint64_t>(offsets_[e + 1])
+              .fetch_add(1, std::memory_order_relaxed);
+        } else {
+          ++offsets_[e + 1];
+        }
+      };
+      ParallelFor(runner, n, kVertexGrain,
+                  [&](int worker, size_t first, size_t last) {
+                    ForEachTriangle(
+                        orient, static_cast<VertexId>(first),
+                        static_cast<VertexId>(last), marks[worker].data(),
+                        [&count](VertexId, VertexId, VertexId, EdgeId euv,
+                                 EdgeId euw, EdgeId evw) {
+                          count(euv);
+                          count(euw);
+                          count(evw);
+                        });
+                  });
+    }
     for (EdgeId e = 0; e < m; ++e) offsets_[e + 1] += offsets_[e];
     slots_.resize(offsets_[m]);
     // Fill pass: for every vertex v, mark its neighbors, then scan the
     // key-ordered row of each lower-ranked neighbor u against the marks
     // until the edge's range is full. The common neighbors of (u, v) arrive
     // in key order, so only the run heads are left to set. O(alpha * E):
-    // each edge scans at most the row of its lower-(degree, id) endpoint.
-    const std::vector<VertexId> by_key = KeyOrderedNeighbors(g, coloring);
+    // each edge scans at most the row of its lower-(degree, id) endpoint,
+    // and only v's chunk writes the edge's slots.
+    const std::vector<VertexId> by_key =
+        KeyOrderedNeighbors(g, coloring, runner);
     std::span<const uint64_t> rows = g.csr_offsets();
-    std::vector<uint8_t> mark(n, 0);
-    for (VertexId v = 0; v < n; ++v) {
-      const auto nbrs = g.neighbors(v);
-      const auto eids = g.edge_ids(v);
-      bool marked = false;
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const VertexId u = nbrs[i];
-        Slot* const begin = slots_.data() + offsets_[eids[i]];
-        Slot* const end = slots_.data() + offsets_[eids[i] + 1];
-        if (begin == end || !RanksBelow(g, u, v)) continue;
-        if (!marked) {
-          for (VertexId w : nbrs) mark[w] = 1;
-          marked = true;
-        }
-        // Branch-free: every candidate is written, and kept by advancing
-        // past it only when marked.
-        Slot* out = begin;
-        const VertexId* it = by_key.data() + rows[u];
-        const VertexId* const row_end = by_key.data() + rows[u + 1];
-        while (out != end && it != row_end) {
-          out->w = *it++;
-          out += mark[out->w];
-        }
-        for (Slot* head = begin; head != end;) {
-          const uint32_t key = vertex_key_[head->w];
-          Slot* next = head + 1;
-          for (; next != end && vertex_key_[next->w] == key; ++next) {
-            next->count = 0;
+    std::vector<std::vector<uint8_t>> marks(width, std::vector<uint8_t>(n, 0));
+    ParallelFor(runner, n, kVertexGrain, [&](int worker, size_t first,
+                                             size_t last) {
+      uint8_t* const mark = marks[worker].data();
+      // fclint: hot-path-begin(slot_fill)
+      for (VertexId v = first; v < last; ++v) {
+        const auto nbrs = g.neighbors(v);
+        const auto eids = g.edge_ids(v);
+        bool marked = false;
+        for (size_t i = 0; i < nbrs.size(); ++i) {
+          const VertexId u = nbrs[i];
+          Slot* const begin = slots_.data() + offsets_[eids[i]];
+          Slot* const end = slots_.data() + offsets_[eids[i] + 1];
+          if (begin == end || !RanksBelow(g, u, v)) continue;
+          if (!marked) {
+            for (VertexId w : nbrs) mark[w] = 1;
+            marked = true;
           }
-          head->count = static_cast<uint32_t>(next - head);
-          head = next;
+          // Branch-free: every candidate is written, and kept by advancing
+          // past it only when marked.
+          Slot* out = begin;
+          const VertexId* it = by_key.data() + rows[u];
+          const VertexId* const row_end = by_key.data() + rows[u + 1];
+          while (out != end && it != row_end) {
+            out->w = *it++;
+            out += mark[out->w];
+          }
+          for (Slot* head = begin; head != end;) {
+            const uint32_t key = vertex_key_[head->w];
+            Slot* next = head + 1;
+            for (; next != end && vertex_key_[next->w] == key; ++next) {
+              next->count = 0;
+            }
+            head->count = static_cast<uint32_t>(next - head);
+            head = next;
+          }
+        }
+        if (marked) {
+          for (VertexId w : nbrs) mark[w] = 0;
         }
       }
-      if (marked) {
-        for (VertexId w : nbrs) mark[w] = 0;
-      }
-    }
+      // fclint: hot-path-end
+    });
   }
 
   uint32_t key(VertexId w) const { return vertex_key_[w]; }
@@ -166,13 +214,16 @@ class TriangleSlotTable {
 
   // Per-edge counts of live (color, attribute) runs by attribute index: the
   // colorful supports of Definition 6, in 8 B per edge.
-  std::vector<std::array<int32_t, 2>> Supports() {
+  std::vector<std::array<int32_t, 2>> Supports(TaskRunner* runner) {
     std::vector<std::array<int32_t, 2>> sup(offsets_.size() - 1, {0, 0});
-    for (EdgeId e = 0; e < sup.size(); ++e) {
-      for (const Slot& s : slots(e)) {
-        if (s.count > 0) sup[e][key(s.w) & 1]++;
-      }
-    }
+    ParallelFor(runner, sup.size(), kEdgeGrain,
+                [&](int, size_t first, size_t last) {
+                  for (EdgeId e = first; e < last; ++e) {
+                    for (const Slot& s : slots(e)) {
+                      if (s.count > 0) sup[e][key(s.w) & 1]++;
+                    }
+                  }
+                });
     return sup;
   }
 
@@ -254,9 +305,10 @@ EdgeReductionResult PeelEdges(const AttributedGraph& g,
 
 // The ColorfulSup peel over every edge of g from its triangle-slot table.
 EdgeReductionResult PeelColorfulSup(const AttributedGraph& g,
-                                    const Coloring& coloring, int k) {
-  TriangleSlotTable table(g, coloring);
-  std::vector<std::array<int32_t, 2>> sup = table.Supports();
+                                    const Coloring& coloring, int k,
+                                    TaskRunner* runner) {
+  TriangleSlotTable table(g, coloring, runner);
+  std::vector<std::array<int32_t, 2>> sup = table.Supports(runner);
 
   auto violates = [&](EdgeId e) {
     return ViolatesColorfulSup(g, e, k, sup[e][0], sup[e][1]);
@@ -279,9 +331,10 @@ EdgeReductionResult PeelColorfulSup(const AttributedGraph& g,
 }  // namespace
 
 std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
-                                                const Coloring& coloring) {
+                                                const Coloring& coloring,
+                                                TaskRunner* runner) {
   std::vector<AttrCounts> sup(g.num_edges());
-  ForEachColorfulSupport(g, coloring,
+  ForEachColorfulSupport(g, coloring, runner,
                          [&sup](EdgeId e, int32_t sup_a, int32_t sup_b) {
                            sup[e].counts[0] = sup_a;
                            sup[e].counts[1] = sup_b;
@@ -290,7 +343,8 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 }
 
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
-                                         const Coloring& coloring, int k) {
+                                         const Coloring& coloring, int k,
+                                         TaskRunner* runner) {
   const EdgeId m = g.num_edges();
   // Screen: drop every edge that already violates Lemma 3 on g. Removing
   // edges never raises a support, so these edges are outside the fixpoint,
@@ -298,12 +352,12 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
   // nothing, nothing violates and g is its own fixpoint.
   EdgeReductionResult result;
   result.edge_alive.assign(m, 0);
-  EdgeId passed = 0;
   ForEachColorfulSupport(
-      g, coloring, [&](EdgeId e, int32_t sup_a, int32_t sup_b) {
+      g, coloring, runner, [&](EdgeId e, int32_t sup_a, int32_t sup_b) {
         result.edge_alive[e] = !ViolatesColorfulSup(g, e, k, sup_a, sup_b);
-        passed += result.edge_alive[e];
       });
+  const EdgeId passed = static_cast<EdgeId>(
+      std::count(result.edge_alive.begin(), result.edge_alive.end(), 1));
   result.vertex_alive.assign(g.num_vertices(), 0);
   for (EdgeId e = 0; e < m; ++e) {
     if (result.edge_alive[e]) {
@@ -323,7 +377,8 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
     for (size_t i = 0; i < ids.size(); ++i) {
       sub_coloring.color[i] = coloring.color[ids[i]];
     }
-    const EdgeReductionResult peeled = PeelColorfulSup(sub, sub_coloring, k);
+    const EdgeReductionResult peeled =
+        PeelColorfulSup(sub, sub_coloring, k, runner);
     // FilteredSubgraph keeps the passed edges in g's edge order.
     EdgeId j = 0;
     for (EdgeId e = 0; e < m; ++e) {
@@ -354,31 +409,35 @@ AttrCounts GreedyEnhancedSupport(int64_t ca, int64_t cb, int64_t cm,
 }
 
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
-                                           const Coloring& coloring, int k) {
-  TriangleSlotTable table(g, coloring);
+                                           const Coloring& coloring, int k,
+                                           TaskRunner* runner) {
+  TriangleSlotTable table(g, coloring, runner);
   // Per-edge color-class sizes (Group a / Group b / Mixed of Fig. 2(c)).
   struct Classes {
     int32_t ca = 0, cb = 0, cm = 0;
   };
   std::vector<Classes> cls(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    // Walk the run heads; a color with both attributes has its a-run
-    // immediately followed by its b-run.
-    std::span<const TriangleSlotTable::Slot> s = table.slots(e);
-    for (size_t i = 0; i < s.size(); i += s[i].count) {
-      const uint32_t key = table.key(s[i].w);
-      const size_t next = i + s[i].count;
-      if ((key & 1) == 0 && next < s.size() &&
-          table.key(s[next].w) == (key | 1)) {
-        cls[e].cm++;
-        i = next;
-      } else if ((key & 1) == 0) {
-        cls[e].ca++;
-      } else {
-        cls[e].cb++;
+  ParallelFor(runner, g.num_edges(), kEdgeGrain, [&](int, size_t first,
+                                                     size_t last) {
+    for (EdgeId e = first; e < last; ++e) {
+      // Walk the run heads; a color with both attributes has its a-run
+      // immediately followed by its b-run.
+      std::span<const TriangleSlotTable::Slot> s = table.slots(e);
+      for (size_t i = 0; i < s.size(); i += s[i].count) {
+        const uint32_t key = table.key(s[i].w);
+        const size_t next = i + s[i].count;
+        if ((key & 1) == 0 && next < s.size() &&
+            table.key(s[next].w) == (key | 1)) {
+          cls[e].cm++;
+          i = next;
+        } else if ((key & 1) == 0) {
+          cls[e].ca++;
+        } else {
+          cls[e].cb++;
+        }
       }
     }
-  }
+  });
 
   auto violates = [&](EdgeId e) {
     const Edge& edge = g.edges()[e];

@@ -24,7 +24,8 @@ struct EdgeReductionResult {
 /// Exposed for tests and diagnostics; computed by the same screen that
 /// ColorfulSupReduction runs first.
 std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
-                                                const Coloring& coloring);
+                                                const Coloring& coloring,
+                                                TaskRunner* runner = nullptr);
 
 /// ColorfulSup reduction (Algorithm 1 / Lemma 3): iteratively removes every
 /// edge whose colorful support violates the attribute-dependent thresholds
@@ -55,8 +56,14 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 /// are dropped in bulk (no support rises when edges go, so none of them is
 /// in the fixpoint), and the slot table and peel cover only the survivor
 /// subgraph, under the same coloring.
+///
+/// The screen, the key-ordered rows, the table's count and fill passes and
+/// the per-edge support and class setup run in chunks on `runner` (inline
+/// when null). Each chunk writes only its own vertices' or edges' slots, so
+/// the survivors do not depend on the schedule. The peel is serial.
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
-                                         const Coloring& coloring, int k);
+                                         const Coloring& coloring, int k,
+                                         TaskRunner* runner = nullptr);
 
 /// Enhanced colorful support reduction (Definition 7 / Lemma 4): like
 /// ColorfulSup, but colors of the common neighborhood are partitioned into
@@ -66,7 +73,8 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
 /// of Definition 7 succeeds exactly in this case). Strictly stronger than
 /// ColorfulSup.
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
-                                           const Coloring& coloring, int k);
+                                           const Coloring& coloring, int k,
+                                           TaskRunner* runner = nullptr);
 
 /// Greedy mixed-color assignment of Definition 7, exposed for tests: given
 /// class sizes and thresholds, returns the per-attribute enhanced colorful

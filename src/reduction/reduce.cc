@@ -25,7 +25,8 @@ std::vector<VertexId> ComposeIds(const std::vector<VertexId>& outer,
 }  // namespace
 
 ReductionPipelineResult ReduceForFairClique(const AttributedGraph& g, int k,
-                                            const ReductionOptions& options) {
+                                            const ReductionOptions& options,
+                                            TaskRunner* runner) {
   ReductionPipelineResult result;
   result.reduced = g;
   result.original_ids.resize(g.num_vertices());
@@ -48,28 +49,30 @@ ReductionPipelineResult ReduceForFairClique(const AttributedGraph& g, int k,
 
   if (options.use_en_colorful_core) {
     run_stage("EnColorfulCore",
-              [k](const AttributedGraph& cur, const Coloring& coloring,
-                  std::vector<VertexId>* ids) {
+              [k, runner](const AttributedGraph& cur, const Coloring& coloring,
+                          std::vector<VertexId>* ids) {
                 // Lemma 2: fair cliques live in the enhanced colorful
                 // (k-1)-core.
-                VertexReductionResult r = EnColorfulCore(cur, coloring, k - 1);
+                VertexReductionResult r =
+                    EnColorfulCore(cur, coloring, k - 1, runner);
                 return cur.FilteredSubgraph(r.alive, {}, ids);
               });
   }
   if (options.use_colorful_sup) {
     run_stage("ColorfulSup",
-              [k](const AttributedGraph& cur, const Coloring& coloring,
-                  std::vector<VertexId>* ids) {
-                EdgeReductionResult r = ColorfulSupReduction(cur, coloring, k);
+              [k, runner](const AttributedGraph& cur, const Coloring& coloring,
+                          std::vector<VertexId>* ids) {
+                EdgeReductionResult r =
+                    ColorfulSupReduction(cur, coloring, k, runner);
                 return cur.FilteredSubgraph(r.vertex_alive, r.edge_alive, ids);
               });
   }
   if (options.use_en_colorful_sup) {
     run_stage("EnColorfulSup",
-              [k](const AttributedGraph& cur, const Coloring& coloring,
-                  std::vector<VertexId>* ids) {
+              [k, runner](const AttributedGraph& cur, const Coloring& coloring,
+                          std::vector<VertexId>* ids) {
                 EdgeReductionResult r =
-                    EnColorfulSupReduction(cur, coloring, k);
+                    EnColorfulSupReduction(cur, coloring, k, runner);
                 return cur.FilteredSubgraph(r.vertex_alive, r.edge_alive, ids);
               });
   }

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
@@ -38,9 +39,12 @@ struct ReductionPipelineResult {
 /// Runs EnColorfulCore -> ColorfulSup -> EnColorfulSup (subject to
 /// `options`), recoloring the shrinking graph before each stage. Every
 /// relative fair clique with parameters (k, *) of `g` survives in the result
-/// (Lemmas 2-4); reductions are independent of delta.
+/// (Lemmas 2-4); reductions are independent of delta. The stages' data-
+/// parallel kernels run on `runner` (inline when null); the peels, the
+/// colourings and the subgraph copies stay serial.
 ReductionPipelineResult ReduceForFairClique(const AttributedGraph& g, int k,
-                                            const ReductionOptions& options);
+                                            const ReductionOptions& options,
+                                            TaskRunner* runner = nullptr);
 
 }  // namespace fairclique
 

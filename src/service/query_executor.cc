@@ -114,6 +114,27 @@ QueryExecutor::QueryExecutor(const ExecutorOptions& options, ResultCache* cache,
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+  // Return only once every worker waits for work: a Submit right after
+  // construction must not bill thread start-up to its deadline, which is
+  // anchored at Submit.
+  fc::MutexLock ready_lock(mu_);
+  while (started_workers_ < workers) idle_.Wait(ready_lock);
+}
+
+int QueryExecutor::HelperRunner::width() const {
+  return std::max(1, executor_->options_.num_workers);
+}
+
+void QueryExecutor::HelperRunner::Post(int count,
+                                       const std::function<void()>& task) {
+  fc::MutexLock lock(executor_->mu_);
+  // A stopping pool may have no worker left to run helpers; the caller
+  // then runs every chunk itself.
+  if (executor_->stopping_) return;
+  for (int i = 0; i < count; ++i) {
+    executor_->helper_queue_.push_back(task);
+    executor_->work_ready_.NotifyOne();
+  }
 }
 
 QueryExecutor::~QueryExecutor() { Shutdown(); }
@@ -280,7 +301,7 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
         prepared_key, request.graph->fingerprint,
         [&] {
           return PrepareGraph(*request.graph->graph, qs.effective.params.k,
-                              qs.effective.reductions);
+                              qs.effective.reductions, runner());
         },
         &built);
     if (built) {
@@ -293,7 +314,7 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
   } else {
     WallTimer prepare_timer;
     qs.prepared = PrepareGraph(*request.graph->graph, qs.effective.params.k,
-                               qs.effective.reductions);
+                               qs.effective.reductions, runner());
     qs.prepare_micros = prepare_timer.ElapsedMicros();
     prepared_builds_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -702,18 +723,31 @@ void QueryExecutor::Shutdown() {
 }
 
 void QueryExecutor::WorkerLoop() {
+  {
+    fc::MutexLock lock(mu_);
+    if (++started_workers_ == std::max(1, options_.num_workers)) {
+      idle_.NotifyAll();
+    }
+  }
   while (true) {
+    std::function<void()> helper;
     ComponentTask task;
     Pending pending;
-    enum class Work { kNone, kComponent, kQuery } work = Work::kNone;
+    enum class Work { kNone, kHelper, kComponent, kQuery } work = Work::kNone;
     {
       fc::MutexLock lock(mu_);
-      while (!stopping_ && component_queue_.empty() && queue_.empty()) {
+      while (!stopping_ && helper_queue_.empty() && component_queue_.empty() &&
+             queue_.empty()) {
         work_ready_.Wait(lock);
       }
-      // Component tasks first: finishing in-flight queries beats admitting
+      // Helpers first: another worker is waiting on the region they join.
+      // Then component tasks: finishing in-flight queries beats admitting
       // new ones (and is what frees their memory).
-      if (!component_queue_.empty()) {
+      if (!helper_queue_.empty()) {
+        helper = std::move(helper_queue_.front());
+        helper_queue_.pop_front();
+        work = Work::kHelper;
+      } else if (!component_queue_.empty()) {
         task = std::move(component_queue_.front());
         component_queue_.pop_front();
         work = Work::kComponent;
@@ -726,7 +760,9 @@ void QueryExecutor::WorkerLoop() {
       }
     }
     active_workers_.fetch_add(1, std::memory_order_relaxed);
-    if (work == Work::kComponent) {
+    if (work == Work::kHelper) {
+      helper();
+    } else if (work == Work::kComponent) {
       ExecuteComponentTask(task);
     } else {
       auto qs = std::make_shared<QueryState>();

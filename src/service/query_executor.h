@@ -4,11 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/timer.h"
@@ -195,7 +197,24 @@ class QueryExecutor {
 
   ExecutorMetrics metrics() const;
 
+  /// The pool as a ParallelFor runner, num_workers wide. Both query paths
+  /// (Submit and Run) hand it to PrepareGraph, so a cold query's reduction
+  /// kernels use the workers no other query keeps busy. Helper tasks run
+  /// ahead of component tasks and admissions, are short (each claims chunks
+  /// until none is left), and are not counted in component_tasks or the
+  /// queue depths.
+  TaskRunner* runner() { return &helpers_; }
+
  private:
+  class HelperRunner final : public TaskRunner {
+   public:
+    explicit HelperRunner(QueryExecutor* executor) : executor_(executor) {}
+    int width() const override;
+    void Post(int count, const std::function<void()>& task) override;
+
+   private:
+    QueryExecutor* const executor_;
+  };
   /// Everything one query carries from admission to response. Shared by the
   /// component tasks fanned out for it; the last task to finish aggregates
   /// and fulfills the promise.
@@ -273,6 +292,10 @@ class QueryExecutor {
   fc::CondVar idle_;
   std::deque<Pending> queue_ GUARDED_BY(mu_);
   std::deque<ComponentTask> component_queue_ GUARDED_BY(mu_);
+  /// ParallelFor helper tasks posted through runner(); popped first.
+  std::deque<std::function<void()>> helper_queue_ GUARDED_BY(mu_);
+  /// Workers that have entered WorkerLoop; the constructor waits for all.
+  int started_workers_ GUARDED_BY(mu_) = 0;
   /// Accepted queries not yet answered (queued, expanding, or branching).
   size_t inflight_ GUARDED_BY(mu_) = 0;
   /// High-water mark of queue_.size() + component_queue_.size(); bumped
@@ -308,6 +331,8 @@ class QueryExecutor {
   obs::Histogram* const run_hist_;
   obs::Histogram* const prepare_hist_;
   obs::Histogram* const branch_hist_;
+
+  HelperRunner helpers_{this};
 };
 
 }  // namespace fairclique

@@ -53,6 +53,7 @@ REQUIRED_REGIONS = {
     "hot-path:csr_build": "GraphBuilder::Build's CSR fill",
     "hot-path:colour_core_peel": "the ColorfulCore/EnColorfulCore peel loop",
     "hot-path:support_screen": "the ColorfulSup screen's row scan",
+    "hot-path:slot_fill": "the triangle-slot table's fill chunk",
 }
 
 RAW_PRIMITIVES = re.compile(
